@@ -1,29 +1,18 @@
-"""Backend selection for the Bartlett sampling kernel.
+"""Bartlett sampling kernel, vectorized over the draws with numpy.
 
-The compiled extension is preferred when importable; the vectorized numpy
-path is the fallback and the reference.  Both consume identical pre-drawn
-randoms, so samples are bit-identical across backends for a given seed.
-Set KLW_PURE_PYTHON=1 to force the numpy path.
+The randoms are drawn by the caller, so for a given seed the samples
+depend only on this arithmetic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    if os.environ.get("KLW_PURE_PYTHON"):
-        _ext = None
-    else:
-        from . import _bartlett as _ext  # type: ignore[attr-defined]
-except ImportError:
-    _ext = None
-
-BACKEND = "cython" if _ext is not None else "numpy"
+BACKEND = "numpy"
 
 
-def _batch_bartlett_numpy(L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray) -> np.ndarray:
+def batch_bartlett(L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray) -> np.ndarray:
+    """Stack of samples L T_k T_k' L' from pre-drawn Bartlett randoms."""
     n, d = tdiag.shape
     T = np.zeros((n, d, d))
     rows, cols = np.tril_indices(d, k=-1)
@@ -32,18 +21,3 @@ def _batch_bartlett_numpy(L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray) ->
     T[:, idx, idx] = tdiag
     A = L @ T
     return A @ A.transpose(0, 2, 1)
-
-
-def batch_bartlett(L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray) -> np.ndarray:
-    """Stack of samples L T_k T_k' L' from pre-drawn Bartlett randoms."""
-    if _ext is None:
-        return _batch_bartlett_numpy(L, tdiag, offd)
-    n, d = tdiag.shape
-    out = np.empty((n, d, d))
-    _ext.batch_bartlett(
-        np.ascontiguousarray(L),
-        np.ascontiguousarray(tdiag),
-        np.ascontiguousarray(offd),
-        out,
-    )
-    return out

@@ -17,10 +17,12 @@ import numpy as np
 
 from . import inference, klpriors, pdcore, verify, wishart
 from .errors import (
+    DimensionMismatch,
     InsufficientData,
     InvalidShape,
     KLWishartError,
     NotPositiveDefinite,
+    NotSquare,
 )
 from .gaussian import Gaussian, kl as gaussian_kl
 
@@ -228,6 +230,8 @@ def cmd_kl(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     except NotPositiveDefinite as exc:
         return _fail(EXIT_BAD_MATRIX, f"covariance not positive definite: {exc}")
+    except (NotSquare, DimensionMismatch) as exc:
+        return _fail(EXIT_BAD_MATRIX, f"invalid Gaussian: {exc}")
     try:
         value = gaussian_kl(p, q)
     except KLWishartError as exc:
@@ -237,6 +241,8 @@ def cmd_kl(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        return _fail(EXIT_PARSE, f"-n must be >= 0, got {args.n}")
     try:
         with open(args.dist) as fh:
             obj = json.load(fh)
@@ -299,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file with the prior mode covariance, or 'identity'",
     )
     p_fit.add_argument("--output", default="-", help="output path or - for stdout")
-    p_fit.add_argument("--seed", type=int, default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_kl = sub.add_parser("kl", help="KL divergence between two Gaussian JSON files")

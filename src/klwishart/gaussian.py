@@ -47,10 +47,8 @@ def logpdf(g: Gaussian, x) -> float:
     if x.shape != (g.dim,):
         raise DimensionMismatch(f"point {x.shape} vs dim {g.dim}")
     delta = x - g.mean
-    # Mahalanobis term via one triangular solve: ||L^{-1} delta||^2.
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(g.cov.factor, delta, lower=True)
+    # Mahalanobis term via one solve against the factor: ||L^{-1} delta||^2.
+    y = np.linalg.solve(g.cov.factor, delta)
     maha = float(y @ y)
     return -0.5 * (g.dim * LOG_2PI + g.cov.logdet + maha)
 

@@ -72,12 +72,11 @@ def logdet(a: PDMatrix) -> float:
 
 
 def solve(a: PDMatrix, b) -> np.ndarray:
-    """Solve A X = B via two triangular solves against the cached factor."""
+    """Solve A X = B via two solves against the cached factor: L Y = B,
+    then L' X = Y."""
     b = np.asarray(b, dtype=float)
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(a.factor, b, lower=True)
-    return solve_triangular(a.factor, y, lower=True, trans="T")
+    y = np.linalg.solve(a.factor, b)
+    return np.linalg.solve(a.factor.T, y)
 
 
 def inverse(a: PDMatrix) -> PDMatrix:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import pdcore
 from ._kernels import batch_bartlett
@@ -31,8 +30,8 @@ def validate_shape(nu: float, d: int) -> None:
 
 def multivariate_log_gamma(a: float, d: int) -> float:
     """log Gamma_d(a) = (d(d-1)/4) log pi + sum_j log Gamma(a + (1-j)/2)."""
-    return d * (d - 1) / 4.0 * LOG_PI + float(
-        sum(gammaln(a + (1 - j) / 2.0) for j in range(1, d + 1))
+    return d * (d - 1) / 4.0 * LOG_PI + sum(
+        math.lgamma(a + (1 - j) / 2.0) for j in range(1, d + 1)
     )
 
 

@@ -168,6 +168,21 @@ class TestKL:
         res = run_cli(["kl", str(bad), str(bad)])
         assert res.returncode == 1
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ([0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        ],
+        ids=["dim_mismatch", "not_square"],
+    )
+    def test_bad_shape_exit_3(self, tmp_path, mean, cov):
+        p = self.g(tmp_path, "p.json", mean, cov)
+        res = run_cli(["kl", p, p])
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+
 
 class TestSample:
     def dist(self, tmp_path, scatter, shape):
@@ -202,6 +217,14 @@ class TestSample:
         d = self.dist(tmp_path, [[1.0, 0.0], [0.0, 1.0]], 1.0)  # nu = d - 1
         res = run_cli(["sample", d, "-n", "1"])
         assert res.returncode == 3
+
+    def test_negative_n_exit_1(self, tmp_path):
+        d = self.dist(tmp_path, [[1.0]], 3.0)
+        res = run_cli(["sample", d, "-n", "-1"])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
 
     def test_row_shape(self, tmp_path):
         d = self.dist(tmp_path, [[1.0, 0.0], [0.0, 1.0]], 5.0)

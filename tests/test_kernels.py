@@ -1,32 +1,21 @@
 import numpy as np
+import pytest
 
 from klwishart import _kernels
 
 
-def test_backend_reported():
-    assert _kernels.BACKEND in ("cython", "numpy")
-
-
-def test_backends_agree():
-    rng = np.random.default_rng(0)
-    for d in (1, 2, 3, 6):
-        L = np.linalg.cholesky(np.eye(d) + 0.3 * np.ones((d, d)))
-        tdiag = np.abs(rng.standard_normal((50, d))) + 0.1
-        offd = rng.standard_normal((50, d * (d - 1) // 2))
-        fast = _kernels.batch_bartlett(L, tdiag, offd)
-        ref = _kernels._batch_bartlett_numpy(L, tdiag, offd)
-        assert np.allclose(fast, ref, atol=1e-13)
-
-
-def test_numpy_path_matches_direct_construction():
-    rng = np.random.default_rng(1)
-    d = 3
-    L = np.linalg.cholesky(np.diag([1.0, 2.0, 3.0]))
-    tdiag = np.abs(rng.standard_normal((1, d))) + 0.5
-    offd = rng.standard_normal((1, 3))
-    out = _kernels._batch_bartlett_numpy(L, tdiag, offd)[0]
-    T = np.zeros((d, d))
-    T[np.diag_indices(d)] = tdiag[0]
-    T[np.tril_indices(d, k=-1)] = offd[0]
-    expect = L @ T @ T.T @ L.T
-    assert np.allclose(out, expect, atol=1e-14)
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_batch_matches_per_draw_construction(d):
+    rng = np.random.default_rng(d)
+    n = 50
+    L = np.linalg.cholesky(np.eye(d) + 0.3 * np.ones((d, d)))
+    tdiag = np.abs(rng.standard_normal((n, d))) + 0.1
+    offd = rng.standard_normal((n, d * (d - 1) // 2))
+    out = _kernels.batch_bartlett(L, tdiag, offd)
+    assert out.shape == (n, d, d)
+    for k in range(n):
+        T = np.zeros((d, d))
+        T[np.diag_indices(d)] = tdiag[k]
+        T[np.tril_indices(d, k=-1)] = offd[k]
+        expect = L @ T @ T.T @ L.T
+        assert np.allclose(out[k], expect, atol=1e-14)
