@@ -31,6 +31,8 @@ EXIT_INSUFFICIENT = 2
 EXIT_BAD_MATRIX = 3
 EXIT_CHECK_FAILED = 4
 
+_WRITE_BLOCK_ROWS = 8192
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -47,29 +49,39 @@ def _resolve_seed(seed) -> int:
 
 
 def read_csv(path: str) -> np.ndarray:
-    """Rows of numeric columns; comma or whitespace delimited; a
-    non-numeric first row is treated as a header and skipped."""
+    """Read an (n, d) float array from a text file.
+
+    Grammar: one observation per line; fields are separated by commas,
+    whitespace or both (``1,2``, ``1 2`` and ``1, 2`` are the same row);
+    lines that hold nothing but separators are skipped.  If the first such
+    line does not parse as numbers it is a header and is skipped.  Every
+    data row must have the same number of fields.  Fields are decimal
+    floats as numpy.loadtxt reads them; no comment syntax.  NaN and
+    infinite values, including overflowing literals such as 1e400, are
+    rejected with the 1-based index of the data row (header and skipped
+    lines not counted).  All failures raise ValueError.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in fh.read().replace(",", " ").split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-
-    def parse_row(line: str):
-        parts = [p for p in line.replace(",", " ").split() if p]
-        return [float(p) for p in parts]
-
-    start = 0
     try:
-        parse_row(lines[0])
+        list(map(float, lines[0].split()))
     except ValueError:
-        start = 1
-    rows = [parse_row(ln) for ln in lines[start:]]
-    if not rows:
+        del lines[0]
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: inconsistent column counts")
-    return np.asarray(rows, dtype=float)
+    try:
+        data = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError as exc:
+        if len({len(ln.split()) for ln in lines}) > 1:
+            raise ValueError(f"{path}: inconsistent column counts") from None
+        raise ValueError(f"{path}: {exc}") from None
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = np.flatnonzero(~finite)[0] + 1
+        raise ValueError(f"{path}: non-finite value in data row {row}")
+    return data
 
 
 def _canonical_json(obj) -> str:
@@ -86,9 +98,16 @@ def _vec(v: np.ndarray):
     return list(map(float, np.asarray(v)))
 
 
-def _load_gaussian(path: str) -> Gaussian:
+def _load_json_object(path: str) -> dict:
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return obj
+
+
+def _load_gaussian(path: str) -> Gaussian:
+    obj = _load_json_object(path)
     return Gaussian(np.asarray(obj["mean"], dtype=float), pdcore.make_pd(obj["cov"]))
 
 
@@ -111,6 +130,8 @@ def _fit_report(args, data: np.ndarray) -> dict:
         mu = np.asarray([float(x) for x in args.known_mu.split(",")])
         if mu.shape != (d,):
             raise ValueError(f"--known-mu has {mu.shape[0]} entries, data has {d} columns")
+        if not np.isfinite(mu).all():
+            raise ValueError("--known-mu must be finite")
     elif args.known_mu is not None:
         raise ValueError("--known-mu only applies with --mean-mode known")
 
@@ -226,7 +247,7 @@ def cmd_kl(args) -> int:
     try:
         p = _load_gaussian(args.p)
         q = _load_gaussian(args.q)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     except NotPositiveDefinite as exc:
         return _fail(EXIT_BAD_MATRIX, f"covariance not positive definite: {exc}")
@@ -234,6 +255,8 @@ def cmd_kl(args) -> int:
         return _fail(EXIT_BAD_MATRIX, f"invalid Gaussian: {exc}")
     try:
         value = gaussian_kl(p, q)
+    except DimensionMismatch as exc:
+        return _fail(EXIT_BAD_MATRIX, f"invalid Gaussian pair: {exc}")
     except KLWishartError as exc:
         return _fail(EXIT_PARSE, str(exc))
     print(format_12sig(value))
@@ -244,23 +267,26 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         return _fail(EXIT_PARSE, f"-n must be >= 0, got {args.n}")
     try:
-        with open(args.dist) as fh:
-            obj = json.load(fh)
+        obj = _load_json_object(args.dist)
         family = obj.get("family", "wishart")
         if family != "wishart":
             return _fail(EXIT_PARSE, f"sampling not supported for family: {family}")
         scatter = pdcore.make_pd(obj["scatter"])
         w = wishart.WishartParams(scale_inv=scatter, shape=float(obj["shape"]))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     except (NotPositiveDefinite, InvalidShape) as exc:
         return _fail(EXIT_BAD_MATRIX, str(exc))
     rng = np.random.default_rng(_resolve_seed(args.seed))
     draws = wishart.sample_wishart_batch(w, args.n, rng)
+    rows = draws.reshape(args.n, w.dim * w.dim)
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     try:
-        for k in range(draws.shape[0]):
-            out.write(",".join(repr(float(v)) for v in draws[k].ravel()) + "\n")
+        # tolist() yields Python floats, whose repr is the shortest string
+        # that round-trips; converting in blocks bounds the memory it holds.
+        for start in range(0, args.n, _WRITE_BLOCK_ROWS):
+            block = rows[start : start + _WRITE_BLOCK_ROWS].tolist()
+            out.writelines(",".join(map(repr, row)) + "\n" for row in block)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -295,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a posterior to CSV data")
     p_fit.add_argument("--data", required=True, help="CSV file, one observation per row")
     p_fit.add_argument("--mean-mode", choices=("known", "unknown"), default="unknown")
-    p_fit.add_argument("--known-mu", help="comma-separated known mean")
+    p_fit.add_argument(
+        "--known-mu",
+        help="comma-separated known mean; write --known-mu=-0.5,1 when the "
+        "first entry is negative, or it is read as an option",
+    )
     p_fit.add_argument(
         "--alpha", type=float, default=None, required=True,
         help="pseudocount; 0 selects the non-informative limit",
@@ -329,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "alpha", None) is not None and args.alpha < 0:
-        return _fail(EXIT_PARSE, "--alpha must be >= 0")
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not (np.isfinite(alpha) and alpha >= 0):
+        return _fail(EXIT_PARSE, "--alpha must be a finite number >= 0")
     return args.func(args)
 
 

@@ -39,20 +39,32 @@ class SufficientStats:
         return self.sample_mean.shape[0]
 
 
+def _observations(data) -> np.ndarray:
+    """data as a float array in C order, so reductions over rows sum in the
+    same order for every input layout; RaggedData if rows differ in length."""
+    try:
+        return np.asarray(data, dtype=float, order="C")
+    except ValueError as exc:
+        if len({np.shape(row) for row in data}) > 1:
+            raise RaggedData("observations have inconsistent lengths") from exc
+        raise
+
+
 def suff_stats(data) -> SufficientStats:
-    """Two-pass reduction: mean first, then the centered scatter."""
-    rows = [np.asarray(x, dtype=float) for x in data]
-    if not rows:
+    """Two-pass reduction of (n, d) observations: mean first, then the
+    centered scatter."""
+    x = _observations(data)
+    if x.ndim > 0 and len(x) == 0:
         raise EmptyData("need at least one observation")
-    d = rows[0].shape[0]
-    if any(r.shape != (d,) for r in rows):
-        raise RaggedData("observations have inconsistent lengths")
-    x = np.vstack(rows)
+    if x.ndim != 2:
+        raise DimensionMismatch(
+            f"suff_stats: expected (n, d) observations, got shape {x.shape}"
+        )
     mean = x.mean(axis=0)
     centered = x - mean
     scatter = centered.T @ centered
     scatter = 0.5 * (scatter + scatter.T)
-    return SufficientStats(count=len(rows), sample_mean=mean, centered_scatter=scatter)
+    return SufficientStats(count=x.shape[0], sample_mean=mean, centered_scatter=scatter)
 
 
 def merge_stats(a: SufficientStats, b: SufficientStats) -> SufficientStats:
@@ -111,19 +123,23 @@ def _cov_from_scatter(scatter: np.ndarray, denom: float) -> np.ndarray:
 
 
 def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
-    """S-bar = alpha Sigma + sum_i (x_i - mu)(x_i - mu)', shape n + alpha + d + 1.
+    """S-bar = alpha Sigma + D'D with rows D = x_i - mu, shape n + alpha + d + 1.
 
     Empty data is allowed: the posterior is then the prior.
     """
     d = prior.dim
-    rows = [np.asarray(x, dtype=float) for x in data]
-    if any(r.shape != (d,) for r in rows):
-        raise DimensionMismatch("posterior_known_mean: observation length vs prior")
-    s_bar = prior.pseudocount * prior.mode_cov.entries.copy()
-    for r in rows:
-        delta = r - prior.known_mean
-        s_bar += np.outer(delta, delta)
-    n = len(rows)
+    mismatch = "posterior_known_mean: observation length vs prior"
+    try:
+        x = _observations(data)
+    except RaggedData as exc:
+        raise DimensionMismatch(mismatch) from exc
+    if x.shape == (0,):
+        x = x.reshape(0, d)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatch(mismatch)
+    delta = x - prior.known_mean
+    s_bar = prior.pseudocount * prior.mode_cov.entries + delta.T @ delta
+    n = x.shape[0]
     wish = WishartParams(
         scale_inv=pdcore.make_pd(s_bar), shape=n + prior.pseudocount + d + 1
     )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from klwishart import inference
+from klwishart import cli, inference, pdcore, wishart
 from klwishart.cli import main, read_csv
 
 
@@ -54,6 +54,66 @@ class TestReadCsv:
         with pytest.raises(ValueError):
             read_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1,2\n\n   \n3,4\n\n", [[1, 2], [3, 4]]),
+            ("1, 2\n3 4\n5,\t6\n7 ,8,\n", [[1, 2], [3, 4], [5, 6], [7, 8]]),
+            ("\n\nx y\n-1.5e3 +.25\n", [[-1500.0, 0.25]]),
+            ("1\n2\n", [[1], [2]]),
+            ("1,2,3", [[1, 2, 3]]),
+            ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ],
+        ids=[
+            "blank_lines", "mixed_separators", "header", "one_column", "no_newline",
+            "crlf",
+        ],
+    )
+    def test_grammar(self, tmp_path, text, expected):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        got = read_csv(str(p))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.asarray(expected, dtype=float))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("\n \n,\n", "empty file"),
+            ("x,y\n", "no data rows"),
+            ("1,2\n3\n", "inconsistent column counts"),
+            ("x,y\n1,2\n3,a\n", "could not convert"),
+            ("1,2\n3,#4\n", "could not convert"),
+            ("x,y\n1,2\n\n3,nan\n", "non-finite value in data row 2"),
+            ("1,2\n3,4\n-inf,5\n", "non-finite value in data row 3"),
+            ("1,1e400\n", "non-finite value in data row 1"),
+        ],
+        ids=[
+            "empty", "separators_only", "header_only", "ragged", "bad_token",
+            "comment", "nan", "inf", "overflow",
+        ],
+    )
+    def test_rejects(self, tmp_path, text, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_csv(str(p))
+        assert str(info.value).startswith(f"{p}: ")
+        assert message in str(info.value)
+
+    def test_matches_per_row_parse(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 8, (500, 3))
+        seps = [",", " ", ", ", "\t", " ,"]
+        rows = data.tolist()
+        lines = [seps[k % 5].join(repr(v) for v in row) for k, row in enumerate(rows)]
+        p = tmp_path / "a.csv"
+        p.write_text("a b c\n" + "\n".join(lines) + "\n")
+        ref = [[float(f) for f in ln.replace(",", " ").split()] for ln in lines]
+        assert np.array_equal(read_csv(str(p)), np.asarray(ref))
+        assert np.array_equal(read_csv(str(p)), data)
+
 
 class TestFit:
     def test_unknown_mean_alpha_one(self, data_2d):
@@ -84,6 +144,45 @@ class TestFit:
         report = json.loads(res.stdout)
         # shape = n + alpha + d + 1
         assert report["posterior"]["classical"]["shape"] == 105.0
+
+    def test_known_mu_equals_form_with_negative_entry(self, data_2d):
+        path, data = data_2d
+        res = run_cli(
+            ["fit", "--data", str(path), "--mean-mode", "known",
+             "--known-mu=-0.5,1", "--alpha", "0"]
+        )
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        delta = data - [-0.5, 1.0]
+        expected = delta.T @ delta / len(data)
+        assert np.allclose(report["map"]["cov"], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("mu", ["inf,0", "0,nan"])
+    def test_known_mu_not_finite_exit_1(self, data_2d, mu):
+        path, _ = data_2d
+        res = run_cli(
+            ["fit", "--data", str(path), "--mean-mode", "known",
+             f"--known-mu={mu}", "--alpha", "1"]
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: --known-mu must be finite\n"
+
+    @pytest.mark.parametrize("alpha", ["1", "0"])
+    def test_non_finite_data_exit_1(self, tmp_path, alpha):
+        p = tmp_path / "nan.csv"
+        p.write_text("x,y\n1,2\n3,1\n2,nan\n0,1\n")
+        res = run_cli(["fit", "--data", str(p), "--alpha", alpha])
+        assert res.returncode == 1
+        assert res.stderr == f"error: {p}: non-finite value in data row 3\n"
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf", "-1"])
+    def test_alpha_not_finite_non_negative_exit_1(self, data_2d, alpha):
+        path, _ = data_2d
+        res = run_cli(["fit", "--data", str(path), f"--alpha={alpha}"])
+        assert res.returncode == 1
+        assert res.stderr == "error: --alpha must be a finite number >= 0\n"
+        assert res.stdout == ""
 
     def test_collinear_exit_2(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -169,6 +268,28 @@ class TestKL:
         assert res.returncode == 1
 
     @pytest.mark.parametrize(
+        "text",
+        ['[0.0, [[1.0]]]', '"gaussian"', '{"mean": [0.0], "cov": {"a": 1}}'],
+        ids=["top_level_list", "top_level_string", "cov_object"],
+    )
+    def test_malformed_json_exit_1(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        good = self.g(tmp_path, "q.json", [0.0], [[1.0]])
+        res = run_cli(["kl", str(bad), good])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+
+    def test_pair_dim_mismatch_exit_3(self, tmp_path):
+        p = self.g(tmp_path, "p.json", [0.0], [[1.0]])
+        q = self.g(tmp_path, "q.json", [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        res = run_cli(["kl", p, q])
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "mean, cov",
         [
             ([0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
@@ -225,6 +346,37 @@ class TestSample:
         assert res.stderr.startswith("error: ")
         assert len(res.stderr.splitlines()) == 1
         assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[[1.0]]',
+            '{"scatter": [[1.0]], "shape": null}',
+            '{"scatter": {"a": 1}, "shape": 3}',
+        ],
+        ids=["top_level_list", "shape_null", "scatter_object"],
+    )
+    def test_malformed_json_exit_1(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        res = run_cli(["sample", str(bad), "-n", "1"])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
+
+    def test_bytes_match_per_element_repr(self, tmp_path):
+        scatter, shape = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]], 5.5
+        n = 2 * cli._WRITE_BLOCK_ROWS + 3
+        out = tmp_path / "draws.csv"
+        assert main(["sample", self.dist(tmp_path, scatter, shape), "-n", str(n),
+                     "--seed", "7", "--output", str(out)]) == 0
+        w = wishart.WishartParams(scale_inv=pdcore.make_pd(scatter), shape=shape)
+        draws = wishart.sample_wishart_batch(w, n, np.random.default_rng(7))
+        expected = "".join(
+            ",".join(repr(float(v)) for v in draws[k].ravel()) + "\n" for k in range(n)
+        )
+        assert out.read_text() == expected
 
     def test_row_shape(self, tmp_path):
         d = self.dist(tmp_path, [[1.0, 0.0], [0.0, 1.0]], 5.0)

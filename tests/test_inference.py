@@ -47,6 +47,19 @@ class TestSuffStats:
         with pytest.raises(RaggedData):
             inference.suff_stats([(1.0, 2.0), (1.0,)])
 
+    def test_one_dimensional_input_raises(self):
+        with pytest.raises(DimensionMismatch):
+            inference.suff_stats([1.0, 2.0, 3.0])
+
+    def test_array_equals_list_of_tuples_bitwise(self):
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((257, 3)) * [1.0, 10.0, 0.1] + [5.0, -3.0, 1e3]
+        a = inference.suff_stats(data)
+        b = inference.suff_stats([tuple(row) for row in data.tolist()])
+        assert a.count == b.count == 257
+        assert np.array_equal(a.sample_mean, b.sample_mean)
+        assert np.array_equal(a.centered_scatter, b.centered_scatter)
+
     def test_merge_matches_concat(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal((30, 2))
@@ -76,6 +89,34 @@ class TestPosteriorKnownMean:
         ref = klpriors.to_wishart(prior)
         assert np.allclose(post.wishart.scale_inv.entries, ref.scale_inv.entries)
         assert post.wishart.shape == ref.shape
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_matches_per_row_outer_sum(self, d):
+        rng = np.random.default_rng(d)
+        mu = rng.standard_normal(d)
+        sigma = random_pd(d, rng)
+        prior = KLWishartPrior(mode_cov=sigma, pseudocount=2.5, known_mean=mu)
+        data = rng.standard_normal((300, d)) * 3.0 + mu
+        ref = prior.pseudocount * prior.mode_cov.entries.copy()
+        for x in data:
+            ref += np.outer(x - mu, x - mu)
+        post = inference.posterior_known_mean(prior, data)
+        assert np.allclose(post.wishart.scale_inv.entries, ref, rtol=1e-12, atol=0.0)
+        assert post.wishart.shape == 300 + 2.5 + d + 1
+
+    def test_one_dimensional_input_raises(self):
+        prior = KLWishartPrior(
+            mode_cov=pdcore.make_pd(np.eye(1)), pseudocount=1.0, known_mean=np.zeros(1)
+        )
+        with pytest.raises(DimensionMismatch):
+            inference.posterior_known_mean(prior, [1.0, 2.0])
+
+    def test_ragged_rows_raise(self):
+        prior = KLWishartPrior(
+            mode_cov=pdcore.make_pd(np.eye(2)), pseudocount=1.0, known_mean=np.zeros(2)
+        )
+        with pytest.raises(DimensionMismatch):
+            inference.posterior_known_mean(prior, [(1.0, 2.0), (1.0,)])
 
     def test_conjugacy_residual(self):
         rng = np.random.default_rng(5)
