@@ -1,15 +1,17 @@
 """Command-line front end: fit, kl, sample, check.
 
 CSV in, JSON out.  All randomness flows through an explicit seed; the
-KLW_SEED environment variable applies when --seed is absent.  Exit codes:
-1 file/parse errors, 2 insufficient data, 3 invalid matrix/shape inputs,
-4 failed verification checks.
+KLW_SEED environment variable applies when --seed is absent.  Subcommands
+raise; `main` turns the exception into one `error:` line and the exit code
+given by `_EXIT_TABLE` (1 file/parse errors, 2 insufficient data, 3 invalid
+matrix/shape inputs).  A failed verification check exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,21 +33,28 @@ EXIT_INSUFFICIENT = 2
 EXIT_BAD_MATRIX = 3
 EXIT_CHECK_FAILED = 4
 
+# (exception classes, exit code, message prefix); the first matching row
+# wins, and an exception that matches no row is a bug and keeps its traceback.
+_EXIT_TABLE = (
+    (InsufficientData, EXIT_INSUFFICIENT, "insufficient data: "),
+    (NotPositiveDefinite, EXIT_BAD_MATRIX, "not positive definite: "),
+    ((NotSquare, DimensionMismatch, InvalidShape), EXIT_BAD_MATRIX, "invalid shape: "),
+    ((OSError, ValueError, KLWishartError), EXIT_PARSE, ""),
+)
+
 _WRITE_BLOCK_ROWS = 8192
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("KLW_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    """--seed, else KLW_SEED, else 0; must be a non-negative integer."""
+    if seed is None:
+        seed = os.environ.get("KLW_SEED", "0")
+    try:
+        if int(seed) >= 0:
+            return int(seed)
+    except ValueError:
+        pass
+    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def read_csv(path: str) -> np.ndarray:
@@ -98,26 +107,64 @@ def _vec(v: np.ndarray):
     return list(map(float, np.asarray(v)))
 
 
-def _load_json_object(path: str) -> dict:
+def _finite(text: str) -> float:
+    # Also the parse_constant hook: float() reads NaN, Infinity, -Infinity.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _load_json(path: str, build):
+    """build(document) for the JSON file at path.  Every JSON number is read
+    as a finite float; NaN, Infinity and overflowing literals are rejected.
+    A KeyError, TypeError or ValueError while decoding or building becomes
+    one ValueError naming the path; library errors get the path prepended
+    and keep their class."""
+    hooks = dict(parse_float=_finite, parse_int=_finite, parse_constant=_finite)
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            return build(json.load(fh, **hooks))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except KLWishartError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
+def _object(obj) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
+        raise ValueError("top level must be a JSON object")
     return obj
 
 
-def _load_gaussian(path: str) -> Gaussian:
-    obj = _load_json_object(path)
-    return Gaussian(np.asarray(obj["mean"], dtype=float), pdcore.make_pd(obj["cov"]))
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array; strings,
+    booleans and nulls are rejected rather than coerced."""
+    a = np.asarray(value)
+    if a.dtype != np.float64:
+        raise TypeError(f"{name} must be a number or nested lists of numbers")
+    return a
+
+
+def _gaussian(obj) -> Gaussian:
+    obj = _object(obj)
+    mean = _numbers(obj["mean"], "mean")
+    return Gaussian(mean, pdcore.make_pd(_numbers(obj["cov"], "cov")))
+
+
+def _mode_cov(obj) -> pdcore.PDMatrix:
+    return pdcore.make_pd(_numbers(obj["cov"] if isinstance(obj, dict) else obj, "cov"))
 
 
 def _load_mode_cov(source: str, d: int) -> pdcore.PDMatrix:
     if source == "identity":
         return pdcore.make_pd(np.eye(d))
-    with open(source) as fh:
-        obj = json.load(fh)
-    raw = obj["cov"] if isinstance(obj, dict) else obj
-    return pdcore.make_pd(raw)
+    cov = _load_json(source, _mode_cov)
+    if cov.dim != d:
+        raise DimensionMismatch(f"{source}: {cov.dim}x{cov.dim} matrix, {d} data columns")
+    return cov
 
 
 def _fit_report(args, data: np.ndarray) -> dict:
@@ -144,22 +191,15 @@ def _fit_report(args, data: np.ndarray) -> dict:
     }
 
     if args.alpha == 0.0:
-        direction = None
         if args.mode_cov != "identity":
-            print(
-                "warning: --mode-cov is ignored at alpha=0 (limit direction only)",
-                file=sys.stderr,
-            )
-            direction = _load_mode_cov(args.mode_cov, d)
+            print("warning: --mode-cov is ignored at alpha=0", file=sys.stderr)
         if known:
-            post = inference.noninformative_posterior(
-                stats, known_mu=mu, sigma_direction=direction
-            )
+            post = inference.noninformative_posterior(stats, known_mu=mu)
             cov_hat = inference.map_known_mean_cov(post)
             report["posterior"] = _known_posterior_json(post)
             report["map"] = {"cov": _mat(cov_hat)}
         else:
-            post = inference.noninformative_posterior(stats, sigma_direction=direction)
+            post = inference.noninformative_posterior(stats)
             mu_hat, cov_hat = inference.map_unknown(post)
             report["posterior"] = _nw_posterior_json(post)
             report["map"] = {"mean": _vec(mu_hat), "cov": _mat(cov_hat.entries)}
@@ -213,19 +253,9 @@ def _nw_posterior_json(post: inference.PosteriorNormalWishart) -> dict:
 
 
 def cmd_fit(args) -> int:
-    try:
-        data = read_csv(args.data)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        report = _fit_report(args, data)
-    except InsufficientData as exc:
-        return _fail(EXIT_INSUFFICIENT, f"insufficient data: {exc}")
-    except (NotPositiveDefinite, InvalidShape) as exc:
-        return _fail(EXIT_BAD_MATRIX, f"invalid matrix input: {exc}")
-    except (ValueError, OSError, KLWishartError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    text = _canonical_json(report)
+    if not (math.isfinite(args.alpha) and args.alpha >= 0):
+        raise ValueError("--alpha must be a finite number >= 0")
+    text = _canonical_json(_fit_report(args, read_csv(args.data)))
     if args.output == "-":
         print(text)
     else:
@@ -244,39 +274,27 @@ def format_12sig(v: float) -> str:
 
 
 def cmd_kl(args) -> int:
-    try:
-        p = _load_gaussian(args.p)
-        q = _load_gaussian(args.q)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except NotPositiveDefinite as exc:
-        return _fail(EXIT_BAD_MATRIX, f"covariance not positive definite: {exc}")
-    except (NotSquare, DimensionMismatch) as exc:
-        return _fail(EXIT_BAD_MATRIX, f"invalid Gaussian: {exc}")
-    try:
-        value = gaussian_kl(p, q)
-    except DimensionMismatch as exc:
-        return _fail(EXIT_BAD_MATRIX, f"invalid Gaussian pair: {exc}")
-    except KLWishartError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    print(format_12sig(value))
+    p = _load_json(args.p, _gaussian)
+    q = _load_json(args.q, _gaussian)
+    print(format_12sig(gaussian_kl(p, q)))
     return 0
+
+
+def _wishart(obj) -> wishart.WishartParams:
+    obj = _object(obj)
+    family = obj.get("family", "wishart")
+    if family != "wishart":
+        raise ValueError(f"sampling not supported for family: {family}")
+    scatter = pdcore.make_pd(_numbers(obj["scatter"], "scatter"))
+    if not isinstance(obj["shape"], float):
+        raise TypeError("shape must be a number")
+    return wishart.WishartParams(scale_inv=scatter, shape=obj["shape"])
 
 
 def cmd_sample(args) -> int:
     if args.n < 0:
-        return _fail(EXIT_PARSE, f"-n must be >= 0, got {args.n}")
-    try:
-        obj = _load_json_object(args.dist)
-        family = obj.get("family", "wishart")
-        if family != "wishart":
-            return _fail(EXIT_PARSE, f"sampling not supported for family: {family}")
-        scatter = pdcore.make_pd(obj["scatter"])
-        w = wishart.WishartParams(scale_inv=scatter, shape=float(obj["shape"]))
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except (NotPositiveDefinite, InvalidShape) as exc:
-        return _fail(EXIT_BAD_MATRIX, str(exc))
+        raise ValueError(f"-n must be >= 0, got {args.n}")
+    w = _load_json(args.dist, _wishart)
     rng = np.random.default_rng(_resolve_seed(args.seed))
     draws = wishart.sample_wishart_batch(w, args.n, rng)
     rows = draws.reshape(args.n, w.dim * w.dim)
@@ -299,12 +317,10 @@ def cmd_check(args) -> int:
     elif args.suite in verify.DEFAULT_SUITE:
         names = (args.suite,)
     else:
-        print(
-            f"error: unknown suite '{args.suite}'; choose from "
-            f"{'|'.join(('all',) + verify.DEFAULT_SUITE)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown suite '{args.suite}'; choose from "
+            f"{'|'.join(('all',) + verify.DEFAULT_SUITE)}"
         )
-        return EXIT_PARSE
     reports = verify.run_suite(names, seed=_resolve_seed(args.seed))
     for rep in reports:
         print(rep.to_json())
@@ -359,10 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and not (np.isfinite(alpha) and alpha >= 0):
-        return _fail(EXIT_PARSE, "--alpha must be a finite number >= 0")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for classes, code, prefix in _EXIT_TABLE:
+            if isinstance(exc, classes):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

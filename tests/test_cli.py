@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -413,3 +414,103 @@ def test_main_in_process(tmp_path, capsys):
     assert main(["kl", str(p), str(p)]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "0.000000000000"
+
+
+# Malformed inputs, one per row: (files written to the test directory,
+# argv with "{}" standing for that directory, extra environment, exit code).
+_DATA_2D = "1,0\n0,1\n2,3\n-1,2\n"
+_MALFORMED = {
+    "sample_shape_infinity": (
+        {"d.json": '{"scatter": [[1.0]], "shape": Infinity}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 1,
+    ),
+    "sample_shape_nan": (
+        {"d.json": '{"scatter": [[1.0]], "shape": NaN}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 1,
+    ),
+    "sample_scatter_overflow": (
+        {"d.json": '{"scatter": [[1e400]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 1,
+    ),
+    "sample_shape_string": (
+        {"d.json": '{"scatter": [[1.0]], "shape": "inf"}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 1,
+    ),
+    "sample_scatter_empty_row": (
+        {"d.json": '{"scatter": [[]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 3,
+    ),
+    "sample_negative_seed": (
+        {"d.json": '{"scatter": [[1.0]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "2", "--seed", "-3"], {}, 1,
+    ),
+    "sample_env_seed_not_integer": (
+        {"d.json": '{"scatter": [[1.0]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "2"], {"KLW_SEED": "abc"}, 1,
+    ),
+    "sample_output_unwritable": (
+        {"d.json": '{"scatter": [[1.0]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "2", "--output", "{}/no/such/dir"], {}, 1,
+    ),
+    "kl_mean_nan": (
+        {"p.json": '{"mean": [NaN], "cov": [[1.0]]}', "q.json": '{"mean": [0], "cov": [[1]]}'},
+        ["kl", "{}/p.json", "{}/q.json"], {}, 1,
+    ),
+    "kl_cov_minus_infinity": (
+        {"p.json": '{"mean": [0], "cov": [[-Infinity]]}'},
+        ["kl", "{}/p.json", "{}/p.json"], {}, 1,
+    ),
+    "kl_mean_string": (
+        {"p.json": '{"mean": ["nan"], "cov": [[1]]}'},
+        ["kl", "{}/p.json", "{}/p.json"], {}, 1,
+    ),
+    "kl_missing_key": (
+        {"p.json": '{"mean": [0]}'},
+        ["kl", "{}/p.json", "{}/p.json"], {}, 1,
+    ),
+    "fit_mode_cov_without_cov_key": (
+        {"x.csv": _DATA_2D, "c.json": '{"covariance": [[1, 0], [0, 1]]}'},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 1,
+    ),
+    "fit_mode_cov_nan": (
+        {"x.csv": _DATA_2D, "c.json": '{"cov": [[NaN, 0], [0, 1]]}'},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 1,
+    ),
+    "fit_mode_cov_not_square": (
+        {"x.csv": _DATA_2D, "c.json": '{"cov": [[1, 0, 0], [0, 1, 0]]}'},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 3,
+    ),
+    "fit_mode_cov_wrong_dimension": (
+        {"x.csv": _DATA_2D, "c.json": "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 3,
+    ),
+    "fit_output_unwritable": (
+        {"x.csv": _DATA_2D},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1", "--output", "{}/no/such/dir"], {}, 1,
+    ),
+    "check_negative_seed": ({}, ["check", "all", "--seed", "-1"], {}, 1),
+    "check_env_seed_not_integer": ({}, ["check", "all"], {"KLW_SEED": "abc"}, 1),
+}
+
+
+@pytest.mark.parametrize("files, argv, env, code", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_input_exits_with_one_error_line(tmp_path, files, argv, env, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    res = run_cli([a.replace("{}", str(tmp_path)) for a in argv], env=dict(os.environ, **env))
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
+
+
+def test_mode_cov_not_read_at_alpha_zero(tmp_path):
+    data = tmp_path / "x.csv"
+    data.write_text(_DATA_2D)
+    cov = tmp_path / "c.json"
+    cov.write_text("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    res = run_cli(["fit", "--data", str(data), "--alpha", "0", "--mode-cov", str(cov)])
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "warning: --mode-cov is ignored at alpha=0\n"
+    assert "maximum-likelihood" in json.loads(res.stdout)["note"]

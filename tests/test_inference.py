@@ -318,15 +318,30 @@ class TestNoninformative:
         with pytest.raises(InsufficientData):
             inference.noninformative_posterior(stats3)  # needs n >= d + 1
 
-    def test_direction_independence_assertion(self):
+    @pytest.mark.parametrize("known", [True, False], ids=["known_mean", "unknown_mean"])
+    def test_tiny_alpha_matches_limit_from_any_direction(self, known):
+        # The alpha -> 0 limit does not depend on the prior mode Sigma.
         rng = np.random.default_rng(41)
         data = rng.standard_normal((20, 2))
         stats = inference.suff_stats(data)
-        direction = random_pd(2, rng)
-        post = inference.noninformative_posterior(stats, sigma_direction=direction)
-        assert np.allclose(post.mode_cov_post.entries, stats.centered_scatter / 20.0)
         mu = np.zeros(2)
-        inference.noninformative_posterior(stats, known_mu=mu, sigma_direction=direction)
+        tiny = 1e-8
+        if known:
+            limit_post = inference.noninformative_posterior(stats, known_mu=mu)
+            limit = inference.map_known_mean_cov(limit_post)
+        else:
+            limit = inference.noninformative_posterior(stats).mode_cov_post.entries
+        for sigma in (random_pd(2, rng), pdcore.make_pd(np.eye(2))):
+            if known:
+                prior = KLWishartPrior(mode_cov=sigma, pseudocount=tiny, known_mean=mu)
+                post = inference.posterior_known_mean(prior, data)
+                approx = inference.map_known_mean_cov(post)
+            else:
+                prior = KLNormalWishartPrior(
+                    prior_mean=stats.sample_mean, mode_cov=sigma, pseudocount=tiny
+                )
+                approx = inference.posterior_unknown(prior, stats).mode_cov_post.entries
+            assert np.linalg.norm(approx - limit) <= 1e-6 * np.linalg.norm(limit)
 
 
 class TestMLEstimate:
@@ -364,6 +379,11 @@ class TestMLEstimate:
         stats = inference.suff_stats([(1.0, 2.0)])
         with pytest.raises(InsufficientData):
             inference.ml_estimate(stats, known_mu=np.zeros(2))
+
+    def test_known_mu_length_mismatch_raises(self):
+        stats = inference.suff_stats(np.random.default_rng(49).standard_normal((10, 2)))
+        with pytest.raises(DimensionMismatch):
+            inference.ml_estimate(stats, known_mu=[0.0])
 
 
 class TestMapMLContinuity:
