@@ -4,7 +4,8 @@ CSV in, JSON out.  All randomness flows through an explicit seed; the
 KLW_SEED environment variable applies when --seed is absent.  Subcommands
 raise; `main` turns the exception into one `error:` line and the exit code
 given by `_EXIT_TABLE` (1 file/parse errors, 2 insufficient data, 3 invalid
-matrix/shape inputs).  A failed verification check exits 4.
+matrix/shape inputs or arithmetic overflow).  A failed verification check
+exits 4.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_CHECK_FAILED = 4
 _EXIT_TABLE = (
     (InsufficientData, EXIT_INSUFFICIENT, "insufficient data: "),
     (NotPositiveDefinite, EXIT_BAD_MATRIX, "not positive definite: "),
+    (FloatingPointError, EXIT_BAD_MATRIX, "out of range: "),
     ((NotSquare, DimensionMismatch, InvalidShape), EXIT_BAD_MATRIX, "invalid shape: "),
     ((OSError, ValueError, KLWishartError), EXIT_PARSE, ""),
 )
@@ -99,14 +101,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _mat(m: np.ndarray):
-    return [list(map(float, row)) for row in np.asarray(m)]
-
-
-def _vec(v: np.ndarray):
-    return list(map(float, np.asarray(v)))
-
-
 def _finite(text: str) -> float:
     # Also the parse_constant hook: float() reads NaN, Infinity, -Infinity.
     value = float(text)
@@ -119,8 +113,8 @@ def _load_json(path: str, build):
     """build(document) for the JSON file at path.  Every JSON number is read
     as a finite float; NaN, Infinity and overflowing literals are rejected.
     A KeyError, TypeError or ValueError while decoding or building becomes
-    one ValueError naming the path; library errors get the path prepended
-    and keep their class."""
+    one ValueError naming the path; library errors and overflow get the path
+    prepended and keep their class."""
     hooks = dict(parse_float=_finite, parse_int=_finite, parse_constant=_finite)
     with open(path) as fh:
         try:
@@ -129,7 +123,7 @@ def _load_json(path: str, build):
             raise ValueError(f"{path}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
-        except KLWishartError as exc:
+        except (KLWishartError, FloatingPointError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -170,8 +164,8 @@ def _load_mode_cov(source: str, d: int) -> pdcore.PDMatrix:
 def _fit_report(args, data: np.ndarray) -> dict:
     stats = inference.suff_stats(data)
     d = stats.dim
-    known = args.mean_mode == "known"
-    if known:
+    mu = None
+    if args.mean_mode == "known":
         if args.known_mu is None:
             raise ValueError("--known-mu is required with --mean-mode known")
         mu = np.asarray([float(x) for x in args.known_mu.split(",")])
@@ -182,74 +176,47 @@ def _fit_report(args, data: np.ndarray) -> dict:
     elif args.known_mu is not None:
         raise ValueError("--known-mu only applies with --mean-mode known")
 
-    report: dict = {
-        "stats": {
-            "n": stats.count,
-            "mean": _vec(stats.sample_mean),
-            "centered_scatter": _mat(stats.centered_scatter),
-        }
-    }
-
     if args.alpha == 0.0:
         if args.mode_cov != "identity":
             print("warning: --mode-cov is ignored at alpha=0", file=sys.stderr)
-        if known:
-            post = inference.noninformative_posterior(stats, known_mu=mu)
-            cov_hat = inference.map_known_mean_cov(post)
-            report["posterior"] = _known_posterior_json(post)
-            report["map"] = {"cov": _mat(cov_hat)}
-        else:
-            post = inference.noninformative_posterior(stats)
-            mu_hat, cov_hat = inference.map_unknown(post)
-            report["posterior"] = _nw_posterior_json(post)
-            report["map"] = {"mean": _vec(mu_hat), "cov": _mat(cov_hat.entries)}
-        report["note"] = "alpha=0: MAP equals the maximum-likelihood estimate"
-        return report
-
-    mode_cov = _load_mode_cov(args.mode_cov, d)
-    if known:
+        post = inference.noninformative_posterior(stats, known_mu=mu)
+    elif mu is not None:
         prior = klpriors.KLWishartPrior(
-            mode_cov=mode_cov, pseudocount=args.alpha, known_mean=mu
+            mode_cov=_load_mode_cov(args.mode_cov, d), pseudocount=args.alpha, known_mean=mu
         )
         post = inference.posterior_known_mean(prior, data)
-        report["posterior"] = _known_posterior_json(post)
-        report["map"] = {"cov": _mat(inference.map_known_mean_cov(post))}
     else:
         prior = klpriors.KLNormalWishartPrior(
-            prior_mean=np.zeros(d), mode_cov=mode_cov, pseudocount=args.alpha
+            prior_mean=np.zeros(d), mode_cov=_load_mode_cov(args.mode_cov, d),
+            pseudocount=args.alpha,
         )
         post = inference.posterior_unknown(prior, stats)
-        mu_hat, cov_hat = inference.map_unknown(post)
-        report["posterior"] = _nw_posterior_json(post)
-        report["map"] = {"mean": _vec(mu_hat), "cov": _mat(cov_hat.entries)}
+
+    # tolist() turns float64 entries into Python floats for json.
+    if mu is not None:
+        sigma = inference.map_known_mean_cov(post).tolist()
+        kl = {"alpha*": float(post.pseudo_total), "sigma*": sigma}
+        w = post.wishart
+        classical = {"shape": float(w.shape), "scatter": w.scale_inv.entries.tolist()}
+        map_estimate = {"cov": sigma}
+    else:
+        mean, mode_cov = inference.map_unknown(post)
+        alpha, sigma = post.pseudocount_post, mode_cov.entries
+        kl = {"alpha*": float(alpha), "m*": mean.tolist(), "sigma*": sigma.tolist()}
+        classical = {"shape": float(alpha + d), "scatter": (alpha * sigma).tolist()}
+        map_estimate = {"mean": mean.tolist(), "cov": sigma.tolist()}
+    report = {
+        "stats": {
+            "n": stats.count,
+            "mean": stats.sample_mean.tolist(),
+            "centered_scatter": stats.centered_scatter.tolist(),
+        },
+        "posterior": {"kl": kl, "classical": classical},
+        "map": map_estimate,
+    }
+    if args.alpha == 0.0:
+        report["note"] = "alpha=0: MAP equals the maximum-likelihood estimate"
     return report
-
-
-def _known_posterior_json(post: inference.PosteriorKnownMean) -> dict:
-    w = post.wishart
-    return {
-        "kl": {
-            "alpha*": float(post.pseudo_total),
-            "sigma*": _mat(inference.map_known_mean_cov(post)),
-        },
-        "classical": {"shape": float(w.shape), "scatter": _mat(w.scale_inv.entries)},
-    }
-
-
-def _nw_posterior_json(post: inference.PosteriorNormalWishart) -> dict:
-    alpha = post.pseudocount_post
-    d = post.mode_cov_post.dim
-    return {
-        "kl": {
-            "alpha*": float(alpha),
-            "m*": _vec(post.mean_post),
-            "sigma*": _mat(post.mode_cov_post.entries),
-        },
-        "classical": {
-            "shape": float(alpha + d),
-            "scatter": _mat(alpha * post.mode_cov_post.entries),
-        },
-    }
 
 
 def cmd_fit(args) -> int:
@@ -376,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow or invalid operation inside the library raises
+        # FloatingPointError instead of printing inf or nan.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except Exception as exc:
         for classes, code, prefix in _EXIT_TABLE:
             if isinstance(exc, classes):

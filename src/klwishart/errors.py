@@ -33,7 +33,7 @@ class InsufficientData(KLWishartError):
     """Not enough data (or rank-deficient scatter) for a non-informative fit."""
 
 
-class DegenerateScatter(KLWishartError):
+class DegenerateScatter(NotPositiveDefinite):
     """Posterior scatter matrix is not positive definite."""
 
 

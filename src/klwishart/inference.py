@@ -2,8 +2,11 @@
 maximum-likelihood estimators for known and unknown mean.
 
 The non-informative (alpha = 0) path is an exact substitution into the
-posterior formulas, never a tiny-alpha evaluation, and shares its final
-scatter/count division with the ML estimator so the two agree bitwise.
+posterior formulas, never a tiny-alpha evaluation.  It and the ML estimator
+share one set of preconditions (`_limit_scatter`): a known mean of length d,
+n >= d for a known mean or n >= d + 1 for an unknown one, and a full-rank
+scatter / n.  Both divide that scatter by n, so the MAP of the limit equals
+the ML estimate bitwise.
 """
 
 from __future__ import annotations
@@ -117,11 +120,6 @@ def _scatter_about(stats: SufficientStats, mu: np.ndarray) -> np.ndarray:
     return stats.centered_scatter + stats.count * np.outer(delta, delta)
 
 
-def _cov_from_scatter(scatter: np.ndarray, denom: float) -> np.ndarray:
-    # Single shared division so alpha = 0 MAP and ML agree bitwise.
-    return scatter / denom
-
-
 def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
     """S-bar = alpha Sigma + D'D with rows D = x_i - mu, shape n + alpha + d + 1.
 
@@ -157,7 +155,7 @@ def map_known_mean(post: PosteriorKnownMean) -> PDMatrix:
 
 def map_known_mean_cov(post: PosteriorKnownMean) -> np.ndarray:
     """Inverse of the MAP precision: S-bar / (n + alpha)."""
-    return _cov_from_scatter(post.wishart.scale_inv.entries, post.pseudo_total)
+    return post.wishart.scale_inv.entries / post.pseudo_total
 
 
 def posterior_unknown(
@@ -190,87 +188,61 @@ def map_unknown(post: PosteriorNormalWishart):
     return post.mean_post, post.mode_cov_post
 
 
+def _limit_scatter(stats: SufficientStats, known_mu, what: str):
+    """Preconditions shared by the alpha = 0 limit and the ML estimate.
+
+    Returns (mu, scatter about mu, make_pd(scatter / n)), where mu is
+    known_mu or the sample mean.  Raises DimensionMismatch for a known_mu
+    not of length d, and InsufficientData for n < d (known mean),
+    n < d + 1 (unknown mean) or a rank-deficient scatter.
+    """
+    d = stats.dim
+    if known_mu is None:
+        mu, scatter = stats.sample_mean.copy(), stats.centered_scatter
+        min_n, need = d + 1, "d + 1 (centering costs one count)"
+        label, about = f"unknown-mean {what}", "centered scatter"
+    else:
+        mu = np.asarray(known_mu, dtype=float)
+        if mu.shape != (d,):
+            raise DimensionMismatch(f"known-mean {what}: known_mu has shape {mu.shape}, d={d}")
+        scatter = _scatter_about(stats, mu)
+        min_n, need = d, "d"
+        label, about = f"known-mean {what}", "scatter about the known mean"
+    if stats.count < min_n:
+        raise InsufficientData(f"{label} needs n >= {need}; got n={stats.count}, d={d}")
+    try:
+        cov = pdcore.make_pd(scatter / stats.count)
+    except NotPositiveDefinite as exc:
+        raise InsufficientData(f"{about} is rank-deficient (rank < {d}): {exc}") from exc
+    return mu, scatter, cov
+
+
 def noninformative_posterior(stats: SufficientStats, known_mu=None):
     """Jaynes limit: exact alpha = 0 substitution into the posterior.
 
-    Known mean (known_mu given): requires n >= d and a full-rank scatter
-    about mu; returns a PosteriorKnownMean with shape n + d + 1.
-    Unknown mean: requires n >= d + 1 and full-rank centered scatter;
-    returns a PosteriorNormalWishart with alpha* = n, m* = x-bar,
-    Sigma* = S0-tilde / n.
+    Known mean (known_mu given): returns a PosteriorKnownMean with the
+    scatter about mu and shape n + d + 1.  Unknown mean: returns a
+    PosteriorNormalWishart with alpha* = n, m* = x-bar, Sigma* = S0-tilde / n.
+    Preconditions and errors are those of `_limit_scatter`.
 
     The limit does not depend on the prior mode Sigma that alpha scales,
     so none is taken (tests/test_inference.py checks this against tiny
     alpha).
     """
-    d = stats.dim
-    if known_mu is not None:
-        mu = np.asarray(known_mu, dtype=float)
-        if mu.shape != (d,):
-            raise DimensionMismatch("noninformative_posterior: known_mu length")
-        if stats.count < d:
-            raise InsufficientData(
-                f"known-mean limit needs n >= d; got n={stats.count}, d={d}"
-            )
-        scatter = _scatter_about(stats, mu)
-        try:
-            s0 = pdcore.make_pd(scatter)
-        except NotPositiveDefinite as exc:
-            raise InsufficientData(
-                f"scatter about the known mean is rank-deficient (rank < {d}): {exc}"
-            ) from exc
-        return PosteriorKnownMean(
-            wishart=WishartParams(scale_inv=s0, shape=stats.count + d + 1)
+    mu, scatter, cov = _limit_scatter(stats, known_mu, "limit")
+    if known_mu is None:
+        return PosteriorNormalWishart(
+            pseudocount_post=float(stats.count), mean_post=mu, mode_cov_post=cov
         )
-
-    if stats.count < d + 1:
-        raise InsufficientData(
-            f"unknown-mean limit needs n >= d + 1 (centering costs one count); "
-            f"got n={stats.count}, d={d}"
+    return PosteriorKnownMean(
+        wishart=WishartParams(
+            scale_inv=pdcore.make_pd(scatter), shape=stats.count + stats.dim + 1
         )
-    try:
-        mode_cov = pdcore.make_pd(
-            _cov_from_scatter(stats.centered_scatter, float(stats.count))
-        )
-    except NotPositiveDefinite as exc:
-        raise InsufficientData(
-            f"centered scatter is rank-deficient (rank < {d}): {exc}"
-        ) from exc
-    return PosteriorNormalWishart(
-        pseudocount_post=float(stats.count),
-        mean_post=stats.sample_mean.copy(),
-        mode_cov_post=mode_cov,
     )
 
 
 def ml_estimate(stats: SufficientStats, known_mu=None):
-    """Maximum-likelihood (mu-hat, cov-hat); same rank conditions as the
-    non-informative limit, with which it shares the final division."""
-    d = stats.dim
-    if known_mu is not None:
-        mu = np.asarray(known_mu, dtype=float)
-        if mu.shape != (d,):
-            raise DimensionMismatch("ml_estimate: known_mu length")
-        if stats.count < d:
-            raise InsufficientData(
-                f"known-mean ML needs n >= d; got n={stats.count}, d={d}"
-            )
-        scatter = _scatter_about(stats, mu)
-        cov = _cov_from_scatter(scatter, float(stats.count))
-        try:
-            pdcore.make_pd(cov)
-        except NotPositiveDefinite as exc:
-            raise InsufficientData(
-                f"scatter about the known mean is rank-deficient: {exc}"
-            ) from exc
-        return mu, cov
-    if stats.count < d + 1:
-        raise InsufficientData(
-            f"unknown-mean ML needs n >= d + 1; got n={stats.count}, d={d}"
-        )
-    cov = _cov_from_scatter(stats.centered_scatter, float(stats.count))
-    try:
-        pdcore.make_pd(cov)
-    except NotPositiveDefinite as exc:
-        raise InsufficientData(f"centered scatter is rank-deficient: {exc}") from exc
-    return stats.sample_mean.copy(), cov
+    """Maximum-likelihood (mu-hat, cov-hat) from the statistics alone; same
+    preconditions as the non-informative limit, whose MAP it equals bitwise."""
+    mu, scatter, _ = _limit_scatter(stats, known_mu, "ML")
+    return mu, scatter / stats.count

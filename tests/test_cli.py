@@ -419,6 +419,7 @@ def test_main_in_process(tmp_path, capsys):
 # Malformed inputs, one per row: (files written to the test directory,
 # argv with "{}" standing for that directory, extra environment, exit code).
 _DATA_2D = "1,0\n0,1\n2,3\n-1,2\n"
+_DATA_HUGE = "1e200,2e200\n-3e200,1e200\n2e200,-1e200\n-1e200,-2e200\n"
 _MALFORMED = {
     "sample_shape_infinity": (
         {"d.json": '{"scatter": [[1.0]], "shape": Infinity}'},
@@ -488,6 +489,27 @@ _MALFORMED = {
         {"x.csv": _DATA_2D},
         ["fit", "--data", "{}/x.csv", "--alpha", "1", "--output", "{}/no/such/dir"], {}, 1,
     ),
+    "fit_degenerate_posterior_unknown_mean": (
+        {"x.csv": "1,2\n2,4\n3,6\n"},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1e-300"], {}, 3,
+    ),
+    # Finite inputs whose arithmetic overflows.
+    "kl_overflow": (
+        {"p.json": '{"mean": [0], "cov": [[1e300]]}', "q.json": '{"mean": [0], "cov": [[1e-300]]}'},
+        ["kl", "{}/p.json", "{}/q.json"], {}, 3,
+    ),
+    "sample_overflow": (
+        {"d.json": '{"scatter": [[1e-300]], "shape": 1e300}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 3,
+    ),
+    "fit_overflow_alpha_one": (
+        {"x.csv": _DATA_HUGE},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1"], {}, 3,
+    ),
+    "fit_overflow_alpha_zero": (
+        {"x.csv": _DATA_HUGE},
+        ["fit", "--data", "{}/x.csv", "--alpha", "0"], {}, 3,
+    ),
     "check_negative_seed": ({}, ["check", "all", "--seed", "-1"], {}, 1),
     "check_env_seed_not_integer": ({}, ["check", "all"], {"KLW_SEED": "abc"}, 1),
 }
@@ -505,6 +527,14 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, files, argv, env, c
     assert res.stdout == ""
 
 
+def test_overflow_while_loading_names_the_file(tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text('{"mean": [0], "cov": [[1.7e308]]}')
+    res = run_cli(["kl", str(p), str(p)])
+    assert res.returncode == 3
+    assert res.stderr == f"error: out of range: {p}: overflow encountered in add\n"
+
+
 def test_mode_cov_not_read_at_alpha_zero(tmp_path):
     data = tmp_path / "x.csv"
     data.write_text(_DATA_2D)
@@ -514,3 +544,44 @@ def test_mode_cov_not_read_at_alpha_zero(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stderr == "warning: --mode-cov is ignored at alpha=0\n"
     assert "maximum-likelihood" in json.loads(res.stdout)["note"]
+
+
+def _skeleton(value):
+    """Key order and JSON types of a decoded report; a list shows the
+    skeleton shared by all its items (numbers or lists, never objects)."""
+    if isinstance(value, dict):
+        return [(key, _skeleton(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        (item,) = {_skeleton(item) for item in value}
+        return f"list[{item}]"
+    return type(value).__name__
+
+
+_VEC = "list[float]"
+_MAT = "list[list[float]]"
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
+@pytest.mark.parametrize("known", [False, True], ids=["unknown_mean", "known_mean"])
+def test_fit_report_shape(tmp_path, capsys, alpha, known):
+    data = tmp_path / "x.csv"
+    data.write_text(_DATA_2D)
+    argv = ["fit", "--data", str(data), "--alpha", alpha]
+    if known:
+        argv += ["--mean-mode", "known", "--known-mu=0,1"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    if known:
+        kl = [("alpha*", "float"), ("sigma*", _MAT)]
+        map_estimate = [("cov", _MAT)]
+    else:
+        kl = [("alpha*", "float"), ("m*", _VEC), ("sigma*", _MAT)]
+        map_estimate = [("mean", _VEC), ("cov", _MAT)]
+    expected = [
+        ("stats", [("n", "int"), ("mean", _VEC), ("centered_scatter", _MAT)]),
+        ("posterior", [("kl", kl), ("classical", [("shape", "float"), ("scatter", _MAT)])]),
+        ("map", map_estimate),
+    ]
+    if alpha == "0":
+        expected.append(("note", "str"))
+    assert _skeleton(report) == expected

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from klwishart import gaussian, inference, klpriors, pdcore, wishart
 from klwishart.errors import (
     DimensionMismatch,
     EmptyData,
     InsufficientData,
+    KLWishartError,
     RaggedData,
 )
 from klwishart.gaussian import Gaussian
@@ -420,3 +423,65 @@ def test_dim_mismatch_posteriors():
     )
     with pytest.raises(DimensionMismatch):
         inference.posterior_unknown(nw, inference.suff_stats([(1.0, 2.0, 3.0)] * 4))
+
+
+coords = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def limit_cases(draw):
+    """(n, d) rows with n in [d - 1, d + 3] (at least one row), and a known
+    mean or None."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(max(1, d - 1), d + 3))
+    x = draw(arrays(np.float64, (n, d), elements=coords))
+    return x, draw(st.none() | arrays(np.float64, (d,), elements=coords))
+
+
+@st.composite
+def three_batches(draw):
+    d = draw(st.integers(1, 4))
+    return [draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=coords)) for _ in range(3)]
+
+
+class TestProperties:
+    @given(limit_cases())
+    def test_limit_map_equals_ml_or_same_error(self, case):
+        x, mu = case
+        stats = inference.suff_stats(x)
+
+        def outcome(estimate):
+            try:
+                return estimate(stats, known_mu=mu)
+            except KLWishartError as exc:
+                return type(exc)
+
+        post = outcome(inference.noninformative_posterior)
+        ml = outcome(inference.ml_estimate)
+        if isinstance(post, type) or isinstance(ml, type):
+            assert post == ml
+            return
+        ml_mu, ml_cov = ml
+        if mu is None:
+            map_mu, map_cov = inference.map_unknown(post)
+            assert np.array_equal(map_mu, ml_mu)
+            assert np.array_equal(map_cov.entries, ml_cov)
+        else:
+            assert np.array_equal(inference.map_known_mean_cov(post), ml_cov)
+
+    @given(three_batches())
+    def test_merge_stats_associative_and_matches_concat(self, batches):
+        a, b, c = map(inference.suff_stats, batches)
+        left = inference.merge_stats(inference.merge_stats(a, b), c)
+        right = inference.merge_stats(a, inference.merge_stats(b, c))
+        full = inference.suff_stats(np.vstack(batches))
+        scale = float(np.max(np.abs(np.vstack(batches))))
+        # Rounding error grows with n max|x|^2; tiny covers products that
+        # underflow, where that bound rounds to zero.
+        tiny = np.finfo(float).tiny
+        mean_tol = 1e-12 * scale + tiny
+        scatter_tol = 1e-12 * full.count * scale**2 + tiny
+        for p, q in ((left, right), (left, full), (right, full)):
+            assert p.count == q.count
+            assert np.all(np.abs(p.sample_mean - q.sample_mean) <= mean_tol)
+            assert np.all(np.abs(p.centered_scatter - q.centered_scatter) <= scatter_tol)
