@@ -1,8 +1,9 @@
 """Multivariate Gaussian: log-density, entropy, closed-form KL, expected
 log-likelihood.
 
-Gaussians are stored in covariance form; precision-side callers convert once
-via `pdcore.solve`.  All computation stays in the log domain.
+Gaussians are stored in covariance form.  Densities and KL work from the
+covariance's cached Cholesky factor (`pdcore.whiten`), so none of them forms
+an inverse.  All computation stays in the log domain.
 """
 
 from __future__ import annotations
@@ -37,19 +38,16 @@ class Gaussian:
     def dim(self) -> int:
         return self.cov.dim
 
-    def precision(self) -> PDMatrix:
-        return pdcore.inverse(self.cov)
 
-
-def logpdf(g: Gaussian, x) -> float:
-    """log N(x | mean, cov)."""
+def logpdf(g: Gaussian, x) -> float | np.ndarray:
+    """log N(x | mean, cov): a float for one point x of shape (d,), an (n,)
+    array for the rows of an (n, d) array."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (g.dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != g.dim:
         raise DimensionMismatch(f"point {x.shape} vs dim {g.dim}")
-    delta = x - g.mean
-    # Mahalanobis term via one solve against the factor: ||L^{-1} delta||^2.
-    y = np.linalg.solve(g.cov.factor, delta)
-    maha = float(y @ y)
+    # Mahalanobis term ||L^{-1} delta||^2, every row in one whiten.
+    y = pdcore.whiten(g.cov, (x - g.mean).T)
+    maha = float(y @ y) if x.ndim == 1 else np.sum(y * y, axis=0)
     return -0.5 * (g.dim * LOG_2PI + g.cov.logdet + maha)
 
 
@@ -62,15 +60,13 @@ def kl(p: Gaussian, q: Gaussian) -> float:
     """KL(p || q) between multivariate Gaussians, exact closed form."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"kl: dims {p.dim} vs {q.dim}")
-    d = p.dim
-    q_prec = q.precision()
-    return 0.5 * (
-        pdcore.trace_product(q_prec, p.cov)
-        + pdcore.quad_form(q.mean - p.mean, q_prec)
-        - d
-        + q.cov.logdet
-        - p.cov.logdet
-    )
+    # tr(Sigma_q^{-1} Sigma_p) = ||L_q^{-1} L_p||_F^2, and the Mahalanobis
+    # term is ||L_q^{-1} (m_q - m_p)||^2.
+    m = pdcore.whiten(q.cov, p.cov.factor)
+    y = pdcore.whiten(q.cov, q.mean - p.mean)
+    value = 0.5 * (np.sum(m * m) + y @ y - p.dim + q.cov.logdet - p.cov.logdet)
+    # KL >= 0; only rounding takes the closed form below zero (a NaN stays).
+    return max(float(value), 0.0)
 
 
 def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:

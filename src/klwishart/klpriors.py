@@ -8,11 +8,13 @@ read-only views, never inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import gaussian, pdcore
+from . import pdcore
 from .errors import DimensionMismatch, KLWishartError
-from .gaussian import Gaussian
+from .gaussian import LOG_2PI
 from .pdcore import PDMatrix
 from .wishart import WishartParams, wishart_log_pdf
 
@@ -96,5 +98,9 @@ def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     if P.dim != p.dim or mu.shape != (p.dim,):
         raise DimensionMismatch("log_density_nw_prior: dimension mismatch")
     wish, m, alpha = to_normal_wishart(p)
-    cond_cov = pdcore.inverse(pdcore.make_pd(alpha * P.entries))
-    return wishart_log_pdf(wish, P) + gaussian.logpdf(Gaussian(m, cond_cov), mu)
+    d = p.dim
+    # log N(mu | m, (alpha P)^{-1}), from P's own factor.
+    log_cond = -0.5 * (
+        d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form(mu - m, P)
+    )
+    return wishart_log_pdf(wish, P) + log_cond

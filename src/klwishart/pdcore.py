@@ -4,6 +4,10 @@ Everything downstream (densities, posteriors, samplers) is built on
 `PDMatrix`: a symmetrized matrix with its lower Cholesky factor cached at
 construction.  Positive definiteness is defined operationally: the
 factorization must succeed with every pivot above a relative threshold.
+
+This is the only module that factors or solves: other modules work from
+the cached factor, through `whiten` (L^{-1} B), `solve`, `quad_form` and
+`PDMatrix.logdet`, and never form an inverse to evaluate a density.
 """
 
 from __future__ import annotations
@@ -66,17 +70,15 @@ def make_pd(raw) -> PDMatrix:
     return PDMatrix(a, factor)
 
 
-def logdet(a: PDMatrix) -> float:
-    """Log determinant, exact from the cached factor."""
-    return a.logdet
+def whiten(a: PDMatrix, b) -> np.ndarray:
+    """L^{-1} B for A = L L': one forward solve against the cached factor,
+    so ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}."""
+    return np.linalg.solve(a.factor, np.asarray(b, dtype=float))
 
 
 def solve(a: PDMatrix, b) -> np.ndarray:
-    """Solve A X = B via two solves against the cached factor: L Y = B,
-    then L' X = Y."""
-    b = np.asarray(b, dtype=float)
-    y = np.linalg.solve(a.factor, b)
-    return np.linalg.solve(a.factor.T, y)
+    """Solve A X = B: whiten (L Y = B), then back-solve L' X = Y."""
+    return np.linalg.solve(a.factor.T, whiten(a, b))
 
 
 def inverse(a: PDMatrix) -> PDMatrix:

@@ -10,7 +10,7 @@ harness itself is guarded against vacuous passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,15 +29,7 @@ class CheckReport:
     detail: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "passed": self.passed,
-                "statistic": self.statistic,
-                "threshold": self.threshold,
-                "detail": self.detail,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _report(name: str, statistic: float, threshold: float, detail: str = "") -> CheckReport:
@@ -146,14 +138,14 @@ def check_conjugacy(
     for _ in range(trials):
         p = random_pd(d, rng)
         cov = pdcore.inverse(p)
-        lik_known = sum(gaussian.logpdf(Gaussian(mu_known, cov), x) for x in data)
+        lik_known = float(gaussian.logpdf(Gaussian(mu_known, cov), data).sum())
         res_w.append(
             wishart.wishart_log_pdf(post_w.wishart, p)
             - klpriors.log_density_wishart_prior(prior_w, p)
             - lik_known
         )
         mu2 = rng.standard_normal(d)
-        lik = sum(gaussian.logpdf(Gaussian(mu2, cov), x) for x in data)
+        lik = float(gaussian.logpdf(Gaussian(mu2, cov), data).sum())
         res_nw.append(
             klpriors.log_density_nw_prior(post_nw.as_prior(), mu2, p)
             - klpriors.log_density_nw_prior(prior_nw, mu2, p)
@@ -199,13 +191,8 @@ def check_rank_deficiency(d: int, nu_int: int, rng: np.random.Generator) -> Chec
     scatter must be rejected as a precision."""
     if not 0 <= nu_int:
         raise ValueError("nu_int must be a nonnegative integer")
-    z = rng.standard_normal((d, nu_int)) if nu_int > 0 else np.zeros((d, 0))
+    z = rng.standard_normal((d, nu_int))
     zz = z @ z.T
-    if nu_int == 0:
-        ok = np.all(zz == 0.0)
-        return _report(
-            "rank_deficiency", 0.0 if ok else 1.0, 0.5, f"d={d} nu=0 zero matrix"
-        )
     svals = np.linalg.svd(zz, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     try:
@@ -285,17 +272,12 @@ def check_map_gradient(
         mu_hat = mu_hat + 0.05
 
     nw_prior_form = post_nw.as_prior()
+    p_joint_pd = pdcore.make_pd(p_joint)
     step = 1e-6
     g_mu = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        fp = klpriors.log_density_nw_prior(
-            nw_prior_form, mu_hat + step * e, pdcore.make_pd(p_joint)
-        )
-        fm = klpriors.log_density_nw_prior(
-            nw_prior_form, mu_hat - step * e, pdcore.make_pd(p_joint)
-        )
+    for e in np.eye(d):
+        fp = klpriors.log_density_nw_prior(nw_prior_form, mu_hat + step * e, p_joint_pd)
+        fm = klpriors.log_density_nw_prior(nw_prior_form, mu_hat - step * e, p_joint_pd)
         g_mu.append((fp - fm) / (2.0 * step))
 
     def f_joint(p: PDMatrix) -> float:
@@ -313,24 +295,24 @@ def check_map_gradient(
     )
 
 
-DEFAULT_SUITE = ("proportionality", "conjugacy", "moments", "rank_deficiency", "map_gradient")
+# Each entry looks its check up by module-level name when called, so a
+# wrapper installed on `verify.check_*` sees the call.
+_CHECKS = {
+    "proportionality": lambda rng: check_proportionality(d=3, alpha=0.7, trials=200, rng=rng),
+    "conjugacy": lambda rng: check_conjugacy(d=2, n=10, alpha=1.0, trials=100, rng=rng),
+    "moments": lambda rng: check_moments(d=2, nu=5.0, samples=100_000, rng=rng),
+    "rank_deficiency": lambda rng: check_rank_deficiency(d=3, nu_int=2, rng=rng),
+    "map_gradient": lambda rng: check_map_gradient(d=2, n=20, alpha=1.0, rng=rng),
+}
+DEFAULT_SUITE = tuple(_CHECKS)
 
 
 def run_suite(names, seed: int) -> list[CheckReport]:
-    """Run the named checks with documented default parameters."""
-    reports: list[CheckReport] = []
+    """Run the named checks with documented default parameters, each from a
+    fresh generator seeded with `seed`."""
     for name in names:
-        rng = np.random.default_rng(seed)
-        if name == "proportionality":
-            reports.append(check_proportionality(d=3, alpha=0.7, trials=200, rng=rng))
-        elif name == "conjugacy":
-            reports.append(check_conjugacy(d=2, n=10, alpha=1.0, trials=100, rng=rng))
-        elif name == "moments":
-            reports.append(check_moments(d=2, nu=5.0, samples=100_000, rng=rng))
-        elif name == "rank_deficiency":
-            reports.append(check_rank_deficiency(d=3, nu_int=2, rng=rng))
-        elif name == "map_gradient":
-            reports.append(check_map_gradient(d=2, n=20, alpha=1.0, rng=rng))
-        else:
-            raise ValueError(f"unknown check: {name}")
-    return reports
+        if name not in _CHECKS:
+            raise ValueError(
+                f"unknown suite '{name}'; choose from {'|'.join(('all',) + DEFAULT_SUITE)}"
+            )
+    return [_CHECKS[name](np.random.default_rng(seed)) for name in names]

@@ -120,7 +120,7 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
     """
     d = w.dim
     nu = w.shape
-    L = np.linalg.cholesky(w.scale().entries)
+    L = w.scale().factor
     tdiag = np.sqrt(rng.gamma(shape=(nu - np.arange(d)) / 2.0, scale=2.0, size=(n, d)))
     offd = rng.standard_normal((n, d * (d - 1) // 2))
     return batch_bartlett(L, tdiag, offd)

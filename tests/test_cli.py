@@ -242,6 +242,14 @@ class TestKL:
         assert float(res.stdout) == 0.0
         assert res.stdout.strip() == "0.000000000000"
 
+    def test_self_kl_not_negative(self, tmp_path):
+        # A covariance whose closed-form self-KL rounds below zero.
+        p = self.g(tmp_path, "p.json", [0.5, -1.0], [[2.0, 0.2], [0.2, 1.0]])
+        res = run_cli(["kl", p, p])
+        assert res.returncode == 0, res.stderr
+        assert not res.stdout.startswith("-")
+        assert float(res.stdout) == 0.0
+
     def test_scalar_value(self, tmp_path):
         p = self.g(tmp_path, "p.json", [0.0], [[1.0]])
         q = self.g(tmp_path, "q.json", [0.0], [[2.0]])

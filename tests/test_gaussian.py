@@ -41,6 +41,25 @@ class TestLogpdf:
         with pytest.raises(DimensionMismatch):
             gaussian.logpdf(g, [0.0, 1.0])
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_rows_match_per_point(self, d):
+        rng = np.random.default_rng(d + 60)
+        g = random_gaussian(d, rng)
+        x = rng.standard_normal((40, d)) * 3.0
+        values = gaussian.logpdf(g, x)
+        assert values.shape == (40,)
+        expected = [gaussian.logpdf(g, row) for row in x]
+        assert np.allclose(values, expected, rtol=0.0, atol=1e-12)
+        assert gaussian.logpdf(g, x[:0]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (), (2, 4, 2)], ids=["n_by_d_plus_1", "0d", "3d"]
+    )
+    def test_batch_shape_mismatch(self, shape):
+        g = Gaussian([0.0, 1.0], pdcore.make_pd(np.eye(2)))
+        with pytest.raises(DimensionMismatch):
+            gaussian.logpdf(g, np.zeros(shape))
+
     def test_integrates_to_one_1d(self):
         g = Gaussian([0.3], pdcore.make_pd([[2.5]]))
         sd = math.sqrt(2.5)
@@ -103,6 +122,29 @@ class TestKL:
             p, q = random_gaussian(d, rng), random_gaussian(d, rng)
             assert gaussian.kl(p, q) >= 0.0
 
+    def test_self_never_negative(self):
+        # The closed form can round below zero for p = q; KL itself cannot.
+        rng = np.random.default_rng(0)
+        for i in range(240):
+            g = random_gaussian((1, 2, 3, 5)[i % 4], rng)
+            assert gaussian.kl(g, g) >= 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10])
+    def test_matches_explicit_inverse(self, d):
+        rng = np.random.default_rng(d + 50)
+        for _ in range(20):
+            p, q = random_gaussian(d, rng), random_gaussian(d, rng)
+            q_inv = np.linalg.inv(q.cov.entries)
+            delta = q.mean - p.mean
+            expected = 0.5 * (
+                np.trace(q_inv @ p.cov.entries)
+                + delta @ q_inv @ delta
+                - d
+                + np.linalg.slogdet(q.cov.entries)[1]
+                - np.linalg.slogdet(p.cov.entries)[1]
+            )
+            assert gaussian.kl(p, q) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_affine_invariance(self, d):
         rng = np.random.default_rng(d + 40)
@@ -128,7 +170,7 @@ class TestExpectedLoglik:
     def test_negative_entropy_point(self):
         rng = np.random.default_rng(17)
         g = random_gaussian(3, rng)
-        prec = g.precision()
+        prec = pdcore.inverse(g.cov)
         # at (mu, P) = (mean, cov^-1) this is minus the entropy
         value = gaussian.expected_loglik(g, g.mean, prec)
         oracle = -0.5 * (3 * math.log(2 * math.pi) - prec.logdet + 3)
@@ -141,7 +183,7 @@ class TestExpectedLoglik:
             d = int(rng.integers(1, 5))
             p = random_gaussian(d, rng)
             q = random_gaussian(d, rng)
-            prec = q.precision()
+            prec = pdcore.inverse(q.cov)
             lhs = (
                 gaussian.expected_loglik(p, q.mean, prec)
                 + gaussian.kl(p, q)

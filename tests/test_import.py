@@ -1,5 +1,8 @@
 import subprocess
 import sys
+from pathlib import Path
+
+import klwishart
 
 
 def test_import_loads_no_scipy():
@@ -10,3 +13,10 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_only_pdcore_and_verify_use_linalg():
+    # Factoring and solving live in pdcore; verify keeps its reference maths.
+    src = Path(klwishart.__file__).parent
+    for name in ("gaussian.py", "klpriors.py", "wishart.py", "inference.py", "cli.py"):
+        assert "linalg" not in (src / name).read_text(), name

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from klwishart import gaussian, klpriors, pdcore, wishart
 from klwishart.errors import KLWishartError
@@ -208,6 +209,24 @@ class TestNormalWishartDensity:
                 + alpha * gaussian.kl(base, Gaussian(mu, pdcore.inverse(prec)))
             )
         assert max(residuals) - min(residuals) < 1e-9
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_matches_wishart_times_scipy_normal(self, d):
+        rng = np.random.default_rng(d + 70)
+        sigma = random_pd(d, rng)
+        m = rng.standard_normal(d)
+        alpha = 1.7
+        p = KLNormalWishartPrior(prior_mean=m, mode_cov=sigma, pseudocount=alpha)
+        wish, _, _ = klpriors.to_normal_wishart(p)
+        for _ in range(20):
+            prec = random_pd(d, rng)
+            mu = rng.standard_normal(d)
+            expected = wishart.wishart_log_pdf(wish, prec) + multivariate_normal.logpdf(
+                mu, m, np.linalg.inv(alpha * prec.entries)
+            )
+            assert klpriors.log_density_nw_prior(p, mu, prec) == pytest.approx(
+                expected, rel=1e-12, abs=0.0
+            )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pseudodata_identity(self, d):

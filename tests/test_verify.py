@@ -78,6 +78,10 @@ class TestRankDeficiency:
         rep = verify.check_rank_deficiency(d=3, nu_int=0, rng=rng(10))
         assert rep.passed
 
+    def test_zero_shape_takes_general_path(self):
+        rep = verify.check_rank_deficiency(d=3, nu_int=0, rng=rng(10))
+        assert rep.detail == "d=3 nu=0 rank=0 accepted=False"
+
     def test_full_rank_accepted(self):
         rep = verify.check_rank_deficiency(d=3, nu_int=3, rng=rng(11))
         assert rep.passed
@@ -127,3 +131,29 @@ class TestReports:
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):
             verify.run_suite(["nonsense"], seed=1)
+
+    def test_run_suite_unknown_names_choices_before_running(self, monkeypatch):
+        monkeypatch.setattr(verify, "check_rank_deficiency", None)
+        with pytest.raises(ValueError) as exc:
+            verify.run_suite(["rank_deficiency", "x"], seed=1)
+        choices = "all|proportionality|conjugacy|moments|rank_deficiency|map_gradient"
+        assert str(exc.value) == f"unknown suite 'x'; choose from {choices}"
+
+    def test_run_suite_calls_checks_by_module_name(self, monkeypatch):
+        # A wrapper installed on the module attribute must see the call.
+        seen = []
+        original = verify.check_rank_deficiency
+
+        def spy(**kwargs):
+            seen.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(verify, "check_rank_deficiency", spy)
+        (report,) = verify.run_suite(["rank_deficiency"], seed=2)
+        assert report.passed
+        assert [sorted(k) for k in seen] == [["d", "nu_int", "rng"]]
+
+    def test_json_key_order(self):
+        rep = verify.check_rank_deficiency(d=3, nu_int=2, rng=rng(15))
+        keys = list(json.loads(rep.to_json()))
+        assert keys == ["name", "passed", "statistic", "threshold", "detail"]

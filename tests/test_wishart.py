@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import gamma as sp_gamma, invgamma as sp_invgamma
 
 from klwishart import pdcore, wishart
+from klwishart._kernels import batch_bartlett
 from klwishart.errors import (
     DimensionMismatch,
     InvalidShape,
@@ -187,6 +188,19 @@ class TestSampling:
         a = wishart.sample_wishart(w, np.random.default_rng(99)).entries
         b = wishart.sample_wishart(w, np.random.default_rng(99)).entries
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_batch_equals_kernel_on_cholesky_of_scale(self, d):
+        rng = np.random.default_rng(d + 80)
+        w = WishartParams(scale_inv=random_pd(d, rng), shape=d + 2.5)
+        draws = wishart.sample_wishart_batch(w, 500, np.random.default_rng(5))
+        same = np.random.default_rng(5)
+        tdiag = np.sqrt(
+            same.gamma(shape=(w.shape - np.arange(d)) / 2.0, scale=2.0, size=(500, d))
+        )
+        offd = same.standard_normal((500, d * (d - 1) // 2))
+        L = np.linalg.cholesky(w.scale().entries)
+        assert np.array_equal(draws, batch_bartlett(L, tdiag, offd))
 
     @pytest.mark.parametrize("d,nu", [(1, 1.5), (2, 3.5), (3, 4.2)])
     def test_sampler_moments(self, d, nu):
