@@ -235,9 +235,13 @@ def format_12sig(v: float) -> str:
     """12 significant digits, plain positional notation."""
     if v == 0.0:
         return "0.000000000000"
-    return np.format_float_positional(
+    text = np.format_float_positional(
         v, precision=12, unique=False, fractional=False, trim="k"
     )
+    # Below 1 numpy drops trailing zeros of the 12 digits; put them back
+    # from the decimal exponent of v rounded to 12 significant digits.
+    exponent = int(f"{v:.11e}".partition("e")[2])
+    return text + "0" * (11 - exponent - len(text.partition(".")[2]))
 
 
 def cmd_kl(args) -> int:

@@ -76,16 +76,21 @@ def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
     if P.dim != d:
         raise DimensionMismatch(f"wishart_log_pdf: dims {P.dim} vs {d}")
     nu = w.shape
-    # log Z = (nu d / 2) log 2 + (nu/2) log|V| + log Gamma_d(nu/2); log|V| = -log|S|.
-    log_z = (
-        nu * d / 2.0 * math.log(2.0)
-        - nu / 2.0 * w.scale_inv.logdet
-        + multivariate_log_gamma(nu / 2.0, d)
-    )
     return (
         (nu - d - 1) / 2.0 * P.logdet
         - 0.5 * pdcore.trace_product(P, w.scale_inv)
-        - log_z
+        - _log_normaliser(w.scale_inv, nu)
+    )
+
+
+def _log_normaliser(scatter: PDMatrix, nu: float) -> float:
+    """log Z of W(S^{-1}, nu): (nu d / 2) log 2 + (nu/2) log|V| + log Gamma_d(nu/2),
+    with log|V| = -log|S|."""
+    d = scatter.dim
+    return (
+        nu * d / 2.0 * math.log(2.0)
+        - nu / 2.0 * scatter.logdet
+        + multivariate_log_gamma(nu / 2.0, d)
     )
 
 
@@ -132,13 +137,19 @@ def sample_wishart(w: WishartParams, rng: np.random.Generator) -> PDMatrix:
 
 
 def iw_log_pdf(iw: InverseWishartParams, C: PDMatrix) -> float:
-    """log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|."""
+    """log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|
+    = -((nu + d + 1)/2) log|C| - tr(C^{-1} S)/2 - log Z, with log Z the
+    normaliser of W(S^{-1}, nu).
+
+    Evaluated from the factors without inverting C:
+    tr(C^{-1} S) = ||L_C^{-1} L_S||_F^2.
+    """
     d = iw.dim
     if C.dim != d:
         raise DimensionMismatch(f"iw_log_pdf: dims {C.dim} vs {d}")
-    # W(C^{-1} | S^{-1}, nu): scale V = S^{-1}, so the scatter side is S itself.
-    w = WishartParams(scale_inv=iw.scatter, shape=iw.shape)
-    return wishart_log_pdf(w, pdcore.inverse(C)) - (d + 1) * C.logdet
+    nu = iw.shape
+    trace = float(np.sum(pdcore.whiten(C, iw.scatter.factor) ** 2))
+    return -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - _log_normaliser(iw.scatter, nu)
 
 
 def iw_mode(iw: InverseWishartParams) -> PDMatrix:

@@ -258,6 +258,24 @@ class TestKL:
         assert value == pytest.approx(0.5 * (0.5 - 1 + math.log(2)), abs=1e-11)
         assert len(res.stdout.strip().replace(".", "").lstrip("0")) >= 10
 
+    @pytest.mark.parametrize(
+        "q_mean, q_var, expect",
+        [
+            # 0.5 (1/2 - 1 + log 2) = 0.09657359027997...: the rounded digits
+            # end in zeros, which are kept.
+            (0.0, 2.0, "0.0965735902800"),
+            # 0.5 (1 + 3^2 - 1) = 4.5
+            (3.0, 1.0, "4.50000000000"),
+        ],
+        ids=["below_one", "above_one"],
+    )
+    def test_twelve_significant_digits(self, tmp_path, q_mean, q_var, expect):
+        p = self.g(tmp_path, "p.json", [0.0], [[1.0]])
+        q = self.g(tmp_path, "q.json", [q_mean], [[q_var]])
+        res = run_cli(["kl", p, q])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == expect + "\n"
+
     def test_asymmetry(self, tmp_path):
         p = self.g(tmp_path, "p.json", [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         q = self.g(tmp_path, "q.json", [1.0, 0.0], [[3.0, 0.0], [0.0, 1.0]])

@@ -228,6 +228,19 @@ class TestInverseWishart:
             rhs = wishart.wishart_log_pdf(w, pdcore.inverse(c)) - (d + 1) * c.logdet
             assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_matches_density_through_inverse(self, d):
+        # The factor-based evaluation against the formula that inverts C.
+        rng = np.random.default_rng(d + 90)
+        for _ in range(40):
+            s = random_pd(d, rng, spread=3.0)
+            c = random_pd(d, rng, spread=0.5)
+            nu = d - 1 + 0.5 + 8 * rng.random()
+            iw = InverseWishartParams(scatter=s, shape=nu)
+            w = WishartParams(scale_inv=s, shape=nu)
+            expect = wishart.wishart_log_pdf(w, pdcore.inverse(c)) - (d + 1) * c.logdet
+            assert wishart.iw_log_pdf(iw, c) == pytest.approx(expect, rel=1e-12)
+
     def test_scalar_invgamma_oracle(self):
         # d=1: IW(s, nu) is InvGamma(a = nu/2, scale = s/2)
         s, nu, x = 3.0, 4.5, 0.8
