@@ -6,6 +6,10 @@ raise; `main` turns the exception into one `error:` line and the exit code
 given by `_EXIT_TABLE` (1 file/parse errors, 2 insufficient data, 3 invalid
 matrix/shape inputs or arithmetic overflow).  A failed verification check
 exits 4.
+
+The CLI parses, validates and formats but does no float arithmetic of its
+own: overflow is the library's to detect (`pdcore.raise_fp_errors`), and it
+reaches `main` as FloatingPointError.
 """
 
 from __future__ import annotations
@@ -197,14 +201,14 @@ def _fit_report(args, data: np.ndarray) -> dict:
         sigma = inference.map_known_mean_cov(post).tolist()
         kl = {"alpha*": float(post.pseudo_total), "sigma*": sigma}
         w = post.wishart
-        classical = {"shape": float(w.shape), "scatter": w.scale_inv.entries.tolist()}
         map_estimate = {"cov": sigma}
     else:
         mean, mode_cov = inference.map_unknown(post)
-        alpha, sigma = post.pseudocount_post, mode_cov.entries
-        kl = {"alpha*": float(alpha), "m*": mean.tolist(), "sigma*": sigma.tolist()}
-        classical = {"shape": float(alpha + d), "scatter": (alpha * sigma).tolist()}
-        map_estimate = {"mean": mean.tolist(), "cov": sigma.tolist()}
+        sigma = mode_cov.entries.tolist()
+        kl = {"alpha*": float(post.pseudocount_post), "m*": mean.tolist(), "sigma*": sigma}
+        w, _, _ = klpriors.to_normal_wishart(post.as_prior())
+        map_estimate = {"mean": mean.tolist(), "cov": sigma}
+    classical = {"shape": float(w.shape), "scatter": w.scale_inv.entries.tolist()}
     report = {
         "stats": {
             "n": stats.count,
@@ -339,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # An overflow or invalid operation inside the library raises
-        # FloatingPointError instead of printing inf or nan.
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+        return args.func(args)
     except Exception as exc:
         for classes, code, prefix in _EXIT_TABLE:
             if isinstance(exc, classes):

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from . import pdcore
-from .errors import DimensionMismatch
-from .pdcore import PDMatrix
+from .errors import DimensionMismatch, KLWishartError
+from .pdcore import PDMatrix, raise_fp_errors
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -30,6 +30,8 @@ class Gaussian:
             raise DimensionMismatch(
                 f"mean length {mean.shape} vs covariance dim {cov.dim}"
             )
+        if not np.isfinite(mean).all():
+            raise KLWishartError("Gaussian mean must be finite")
         mean.setflags(write=False)
         self.mean = mean
         self.cov = cov
@@ -39,6 +41,7 @@ class Gaussian:
         return self.cov.dim
 
 
+@raise_fp_errors
 def logpdf(g: Gaussian, x) -> float | np.ndarray:
     """log N(x | mean, cov): a float for one point x of shape (d,), an (n,)
     array for the rows of an (n, d) array."""
@@ -56,6 +59,7 @@ def entropy(g: Gaussian) -> float:
     return 0.5 * (g.dim * (1.0 + LOG_2PI) + g.cov.logdet)
 
 
+@raise_fp_errors
 def kl(p: Gaussian, q: Gaussian) -> float:
     """KL(p || q) between multivariate Gaussians, exact closed form."""
     if p.dim != q.dim:
@@ -65,10 +69,11 @@ def kl(p: Gaussian, q: Gaussian) -> float:
     m = pdcore.whiten(q.cov, p.cov.factor)
     y = pdcore.whiten(q.cov, q.mean - p.mean)
     value = 0.5 * (np.sum(m * m) + y @ y - p.dim + q.cov.logdet - p.cov.logdet)
-    # KL >= 0; only rounding takes the closed form below zero (a NaN stays).
+    # KL >= 0; only rounding takes the closed form below zero.
     return max(float(value), 0.0)
 
 
+@raise_fp_errors
 def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
     """E_{x~p}[log N(x | mu, prec^{-1})], exact.
 
@@ -77,9 +82,10 @@ def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (p.dim,) or prec.dim != p.dim:
         raise DimensionMismatch("expected_loglik: dimension mismatch")
-    return -0.5 * (
+    value = (
         p.dim * LOG_2PI
         - prec.logdet
         + pdcore.trace_product(prec, p.cov)
         + pdcore.quad_form(p.mean - mu, prec)
     )
+    return float(-0.5 * value)

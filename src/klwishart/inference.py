@@ -3,10 +3,10 @@ maximum-likelihood estimators for known and unknown mean.
 
 The non-informative (alpha = 0) path is an exact substitution into the
 posterior formulas, never a tiny-alpha evaluation.  It and the ML estimator
-share one set of preconditions (`_limit_scatter`): a known mean of length d,
-n >= d for a known mean or n >= d + 1 for an unknown one, and a full-rank
-scatter / n.  Both divide that scatter by n, so the MAP of the limit equals
-the ML estimate bitwise.
+share one set of preconditions (`_limit_scatter`): a finite known mean of
+length d, n >= d for a known mean or n >= d + 1 for an unknown one, and a
+full-rank scatter / n.  Both divide that scatter by n, so the MAP of the
+limit equals the ML estimate bitwise.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from .errors import (
     DimensionMismatch,
     EmptyData,
     InsufficientData,
+    KLWishartError,
     NotPositiveDefinite,
     RaggedData,
 )
 from .klpriors import KLNormalWishartPrior, KLWishartPrior
-from .pdcore import PDMatrix
+from .pdcore import PDMatrix, raise_fp_errors
 from .wishart import WishartParams
 
 
@@ -44,15 +45,20 @@ class SufficientStats:
 
 def _observations(data) -> np.ndarray:
     """data as a float array in C order, so reductions over rows sum in the
-    same order for every input layout; RaggedData if rows differ in length."""
+    same order for every input layout; RaggedData if rows differ in length,
+    KLWishartError if a value is NaN or infinite."""
     try:
-        return np.asarray(data, dtype=float, order="C")
+        x = np.asarray(data, dtype=float, order="C")
     except ValueError as exc:
         if len({np.shape(row) for row in data}) > 1:
             raise RaggedData("observations have inconsistent lengths") from exc
         raise
+    if not np.isfinite(x).all():
+        raise KLWishartError("observations must be finite")
+    return x
 
 
+@raise_fp_errors
 def suff_stats(data) -> SufficientStats:
     """Two-pass reduction of (n, d) observations: mean first, then the
     centered scatter."""
@@ -70,6 +76,7 @@ def suff_stats(data) -> SufficientStats:
     return SufficientStats(count=x.shape[0], sample_mean=mean, centered_scatter=scatter)
 
 
+@raise_fp_errors
 def merge_stats(a: SufficientStats, b: SufficientStats) -> SufficientStats:
     """Parallel combination; associative up to rounding."""
     if a.dim != b.dim:
@@ -120,6 +127,7 @@ def _scatter_about(stats: SufficientStats, mu: np.ndarray) -> np.ndarray:
     return stats.centered_scatter + stats.count * np.outer(delta, delta)
 
 
+@raise_fp_errors
 def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
     """S-bar = alpha Sigma + D'D with rows D = x_i - mu, shape n + alpha + d + 1.
 
@@ -153,11 +161,13 @@ def map_known_mean(post: PosteriorKnownMean) -> PDMatrix:
     return pdcore.inverse(cov)
 
 
+@raise_fp_errors
 def map_known_mean_cov(post: PosteriorKnownMean) -> np.ndarray:
     """Inverse of the MAP precision: S-bar / (n + alpha)."""
     return post.wishart.scale_inv.entries / post.pseudo_total
 
 
+@raise_fp_errors
 def posterior_unknown(
     prior: KLNormalWishartPrior, stats: SufficientStats
 ) -> PosteriorNormalWishart:
@@ -193,8 +203,9 @@ def _limit_scatter(stats: SufficientStats, known_mu, what: str):
 
     Returns (mu, scatter about mu, make_pd(scatter / n)), where mu is
     known_mu or the sample mean.  Raises DimensionMismatch for a known_mu
-    not of length d, and InsufficientData for n < d (known mean),
-    n < d + 1 (unknown mean) or a rank-deficient scatter.
+    not of length d, KLWishartError for a non-finite one, and
+    InsufficientData for n < d (known mean), n < d + 1 (unknown mean) or a
+    rank-deficient scatter.
     """
     d = stats.dim
     if known_mu is None:
@@ -205,6 +216,8 @@ def _limit_scatter(stats: SufficientStats, known_mu, what: str):
         mu = np.asarray(known_mu, dtype=float)
         if mu.shape != (d,):
             raise DimensionMismatch(f"known-mean {what}: known_mu has shape {mu.shape}, d={d}")
+        if not np.isfinite(mu).all():
+            raise KLWishartError(f"known-mean {what}: known_mu must be finite")
         scatter = _scatter_about(stats, mu)
         min_n, need = d, "d"
         label, about = f"known-mean {what}", "scatter about the known mean"
@@ -217,6 +230,7 @@ def _limit_scatter(stats: SufficientStats, known_mu, what: str):
     return mu, scatter, cov
 
 
+@raise_fp_errors
 def noninformative_posterior(stats: SufficientStats, known_mu=None):
     """Jaynes limit: exact alpha = 0 substitution into the posterior.
 
@@ -241,6 +255,7 @@ def noninformative_posterior(stats: SufficientStats, known_mu=None):
     )
 
 
+@raise_fp_errors
 def ml_estimate(stats: SufficientStats, known_mu=None):
     """Maximum-likelihood (mu-hat, cov-hat) from the statistics alone; same
     preconditions as the non-informative limit, whose MAP it equals bitwise."""

@@ -15,17 +15,31 @@ import numpy as np
 from . import pdcore
 from .errors import DimensionMismatch, KLWishartError
 from .gaussian import LOG_2PI
-from .pdcore import PDMatrix
+from .pdcore import PDMatrix, raise_fp_errors
 from .wishart import WishartParams, wishart_log_pdf
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float) -> np.float64:
+    """alpha as a numpy scalar, so arithmetic on it obeys raise_fp_errors."""
+    if not math.isfinite(alpha):
+        raise KLWishartError(f"pseudocount alpha must be finite; got {alpha}")
     if not alpha > 0:
         raise KLWishartError(
             "pseudocount alpha must be strictly positive; the alpha = 0 "
             "limit is taken in the posterior, not the prior"
         )
-    return float(alpha)
+    return np.float64(alpha)
+
+
+def _finite_mean(mean, dim: int, name: str) -> np.ndarray:
+    """mean as a read-only float vector of length dim with finite entries."""
+    mean = np.asarray(mean, dtype=float)
+    if mean.shape != (dim,):
+        raise DimensionMismatch(f"{name} length vs mode_cov dimension")
+    if not np.isfinite(mean).all():
+        raise KLWishartError(f"{name} must be finite")
+    mean.setflags(write=False)
+    return mean
 
 
 class KLWishartPrior:
@@ -34,13 +48,9 @@ class KLWishartPrior:
     __slots__ = ("mode_cov", "pseudocount", "known_mean")
 
     def __init__(self, mode_cov: PDMatrix, pseudocount: float, known_mean):
-        known_mean = np.asarray(known_mean, dtype=float)
-        if known_mean.shape != (mode_cov.dim,):
-            raise DimensionMismatch("known_mean length vs mode_cov dimension")
-        known_mean.setflags(write=False)
+        self.known_mean = _finite_mean(known_mean, mode_cov.dim, "known_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
-        self.known_mean = known_mean
 
     @property
     def dim(self) -> int:
@@ -53,11 +63,7 @@ class KLNormalWishartPrior:
     __slots__ = ("prior_mean", "mode_cov", "pseudocount")
 
     def __init__(self, prior_mean, mode_cov: PDMatrix, pseudocount: float):
-        prior_mean = np.asarray(prior_mean, dtype=float)
-        if prior_mean.shape != (mode_cov.dim,):
-            raise DimensionMismatch("prior_mean length vs mode_cov dimension")
-        prior_mean.setflags(write=False)
-        self.prior_mean = prior_mean
+        self.prior_mean = _finite_mean(prior_mean, mode_cov.dim, "prior_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
 
@@ -66,12 +72,14 @@ class KLNormalWishartPrior:
         return self.mode_cov.dim
 
 
+@raise_fp_errors
 def to_wishart(p: KLWishartPrior) -> WishartParams:
     """Classical view: W with S = alpha Sigma, nu = alpha + d + 1."""
     s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
     return WishartParams(scale_inv=s, shape=p.pseudocount + p.dim + 1)
 
 
+@raise_fp_errors
 def to_normal_wishart(p: KLNormalWishartPrior):
     """Classical view: (W(S = alpha Sigma, nu = alpha + d), m, alpha).
 
@@ -91,6 +99,7 @@ def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
     return wishart_log_pdf(to_wishart(p), P)
 
 
+@raise_fp_errors
 def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     """Joint log prior density of (mu, P); equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
@@ -103,4 +112,4 @@ def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     log_cond = -0.5 * (
         d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form(mu - m, P)
     )
-    return wishart_log_pdf(wish, P) + log_cond
+    return float(wishart_log_pdf(wish, P) + log_cond)

@@ -8,6 +8,14 @@ factorization must succeed with every pivot above a relative threshold.
 This is the only module that factors or solves: other modules work from
 the cached factor, through `whiten` (L^{-1} B), `solve`, `quad_form` and
 `PDMatrix.logdet`, and never form an inverse to evaluate a density.
+
+It also holds the library's one overflow policy, `raise_fp_errors`:
+arithmetic that overflows, divides by zero or turns invalid raises
+FloatingPointError.  `make_pd` and the public functions of `gaussian`,
+`wishart`, `klpriors` and `inference` that compute on caller values carry
+it as a decorator; `trace_product` and `quad_form` run under the guard of
+the function that calls them, and `whiten` and `solve` check what
+np.linalg returns.
 """
 
 from __future__ import annotations
@@ -18,6 +26,10 @@ from .errors import DimensionMismatch, NotPositiveDefinite, NotSquare
 
 # Relative pivot threshold: L[i,i]^2 must exceed PIVOT_RTOL * max diagonal.
 PIVOT_RTOL = 1e-12
+
+# numpy's errstate is re-entrant as a decorator: each call of a decorated
+# function sets the policy and restores the caller's on return.
+raise_fp_errors = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 class PDMatrix:
@@ -44,41 +56,55 @@ class PDMatrix:
         return f"PDMatrix(dim={self.dim}, entries={self.entries.tolist()})"
 
 
+@raise_fp_errors
 def make_pd(raw) -> PDMatrix:
-    """Symmetrize and factor a square matrix; reject non-PD input.
+    """Symmetrize and factor a non-empty square matrix; reject non-PD input.
 
-    Raises NotSquare for non-square input and NotPositiveDefinite when the
-    Cholesky factorization fails or any pivot falls below
-    PIVOT_RTOL * max(diag).
+    Raises NotSquare for non-square or empty input and NotPositiveDefinite
+    when the Cholesky factorization fails (NaN entries included), the factor
+    is not finite (infinite entries) or any pivot falls below
+    PIVOT_RTOL * max(diag).  Entries whose symmetrization overflows, or
+    adds inf to -inf, raise FloatingPointError.
     """
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    a = 0.5 * (a + a.T)
+    a = np.array(raw, dtype=float)
+    if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
+        raise NotSquare(f"expected a non-empty square matrix, got shape {a.shape}")
+    a += a.T
+    a *= 0.5
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    if not np.all(np.isfinite(factor)):
+    # A factor's entries are +inf or at most sqrt(max |a|): the sum cannot
+    # overflow.
+    if not np.isfinite(factor.sum()):
         raise NotPositiveDefinite("non-finite entries in Cholesky factor")
-    pivots = np.diag(factor) ** 2
-    if np.min(pivots) <= PIVOT_RTOL * np.max(np.diag(a)):
+    pivots = factor.diagonal() ** 2
+    if pivots.min() <= PIVOT_RTOL * a.diagonal().max():
         raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {np.min(pivots):.3e} below relative "
+            f"smallest Cholesky pivot {pivots.min():.3e} below relative "
             f"threshold {PIVOT_RTOL:g}"
         )
     return PDMatrix(a, factor)
 
 
+def _solved(x: np.ndarray) -> np.ndarray:
+    # np.linalg runs its solvers with overflow ignored, out of reach of
+    # raise_fp_errors; for finite operands a non-finite result is overflow.
+    if not np.isfinite(x).all():
+        raise FloatingPointError("non-finite value encountered in solve")
+    return x
+
+
 def whiten(a: PDMatrix, b) -> np.ndarray:
     """L^{-1} B for A = L L': one forward solve against the cached factor,
     so ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}."""
-    return np.linalg.solve(a.factor, np.asarray(b, dtype=float))
+    return _solved(np.linalg.solve(a.factor, np.asarray(b, dtype=float)))
 
 
 def solve(a: PDMatrix, b) -> np.ndarray:
     """Solve A X = B: whiten (L Y = B), then back-solve L' X = Y."""
-    return np.linalg.solve(a.factor.T, whiten(a, b))
+    return _solved(np.linalg.solve(a.factor.T, whiten(a, b)))
 
 
 def inverse(a: PDMatrix) -> PDMatrix:
@@ -86,17 +112,19 @@ def inverse(a: PDMatrix) -> PDMatrix:
     return make_pd(solve(a, np.eye(a.dim)))
 
 
-def trace_product(a: PDMatrix, b: PDMatrix) -> float:
-    """tr(A B) without forming the product matrix."""
+def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64:
+    """tr(A B) without forming the product matrix.  Like `quad_form` it
+    returns a numpy scalar, so a caller's arithmetic on it obeys
+    raise_fp_errors."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"trace_product: {a.dim} vs {b.dim}")
-    return float(np.sum(a.entries * b.entries))
+    return np.sum(a.entries * b.entries)
 
 
-def quad_form(v, a: PDMatrix) -> float:
+def quad_form(v, a: PDMatrix) -> np.float64:
     """v' A v; nonnegative, zero only at v = 0."""
     v = np.asarray(v, dtype=float)
     if v.shape != (a.dim,):
         raise DimensionMismatch(f"quad_form: vector {v.shape} vs dim {a.dim}")
     w = a.factor.T @ v
-    return float(w @ w)
+    return w @ w

@@ -14,14 +14,16 @@ import numpy as np
 from . import pdcore
 from ._kernels import batch_bartlett
 from .errors import DimensionMismatch, InvalidShape, NoInteriorMode, ShapeTooSmall
-from .pdcore import PDMatrix
+from .pdcore import PDMatrix, raise_fp_errors
 
 LOG_PI = math.log(math.pi)
 
 
 def validate_shape(nu: float, d: int) -> None:
-    """Enforce nu > d - 1 (strict); low integer shapes give rank-deficient
-    samples and cannot support a density on PD matrices."""
+    """Enforce a finite nu > d - 1 (strict); low integer shapes give
+    rank-deficient samples and cannot support a density on PD matrices."""
+    if not math.isfinite(nu):
+        raise InvalidShape(f"Wishart shape must be finite; got nu={nu}")
     if not nu > d - 1:
         raise InvalidShape(
             f"Wishart shape must satisfy nu > d - 1; got nu={nu} with d={d}"
@@ -29,10 +31,17 @@ def validate_shape(nu: float, d: int) -> None:
 
 
 def multivariate_log_gamma(a: float, d: int) -> float:
-    """log Gamma_d(a) = (d(d-1)/4) log pi + sum_j log Gamma(a + (1-j)/2)."""
-    return d * (d - 1) / 4.0 * LOG_PI + sum(
-        math.lgamma(a + (1 - j) / 2.0) for j in range(1, d + 1)
-    )
+    """log Gamma_d(a) = (d(d-1)/4) log pi + sum_j log Gamma(a + (1-j)/2).
+
+    Overflow raises FloatingPointError: math.lgamma's OverflowError is
+    renamed, and the terms are summed as numpy scalars under the caller's
+    raise_fp_errors.
+    """
+    try:
+        terms = [math.lgamma(a + (1 - j) / 2.0) for j in range(1, d + 1)]
+    except OverflowError:
+        raise FloatingPointError("overflow encountered in lgamma") from None
+    return d * (d - 1) / 4.0 * LOG_PI + sum(terms, np.float64(0.0))
 
 
 class WishartParams:
@@ -43,7 +52,8 @@ class WishartParams:
     def __init__(self, scale_inv: PDMatrix, shape: float):
         validate_shape(shape, scale_inv.dim)
         self.scale_inv = scale_inv
-        self.shape = float(shape)
+        # A numpy scalar, so arithmetic on the shape obeys raise_fp_errors.
+        self.shape = np.float64(shape)
 
     @property
     def dim(self) -> int:
@@ -63,20 +73,21 @@ class InverseWishartParams:
     def __init__(self, scatter: PDMatrix, shape: float):
         validate_shape(shape, scatter.dim)
         self.scatter = scatter
-        self.shape = float(shape)
+        self.shape = np.float64(shape)
 
     @property
     def dim(self) -> int:
         return self.scatter.dim
 
 
+@raise_fp_errors
 def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
     """log W(P | V, nu) with V = S^{-1}."""
     d = w.dim
     if P.dim != d:
         raise DimensionMismatch(f"wishart_log_pdf: dims {P.dim} vs {d}")
     nu = w.shape
-    return (
+    return float(
         (nu - d - 1) / 2.0 * P.logdet
         - 0.5 * pdcore.trace_product(P, w.scale_inv)
         - _log_normaliser(w.scale_inv, nu)
@@ -94,11 +105,13 @@ def _log_normaliser(scatter: PDMatrix, nu: float) -> float:
     )
 
 
+@raise_fp_errors
 def wishart_mean(w: WishartParams) -> PDMatrix:
     """E[P] = nu V."""
     return pdcore.make_pd(w.shape * w.scale().entries)
 
 
+@raise_fp_errors
 def wishart_mean_inverse(w: WishartParams) -> PDMatrix:
     """E[P^{-1}] = S / (nu - d - 1); requires nu > d + 1."""
     if not w.shape > w.dim + 1:
@@ -108,6 +121,7 @@ def wishart_mean_inverse(w: WishartParams) -> PDMatrix:
     return pdcore.make_pd(w.scale_inv.entries / (w.shape - w.dim - 1))
 
 
+@raise_fp_errors
 def wishart_mode(w: WishartParams) -> PDMatrix:
     """Mode (nu - d - 1) V; only interior (hence valid) for nu > d + 1."""
     if not w.shape > w.dim + 1:
@@ -117,6 +131,7 @@ def wishart_mode(w: WishartParams) -> PDMatrix:
     return pdcore.make_pd((w.shape - w.dim - 1) * w.scale().entries)
 
 
+@raise_fp_errors
 def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Bartlett draws as an (n, d, d) array.
 
@@ -136,6 +151,7 @@ def sample_wishart(w: WishartParams, rng: np.random.Generator) -> PDMatrix:
     return pdcore.make_pd(sample_wishart_batch(w, 1, rng)[0])
 
 
+@raise_fp_errors
 def iw_log_pdf(iw: InverseWishartParams, C: PDMatrix) -> float:
     """log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|
     = -((nu + d + 1)/2) log|C| - tr(C^{-1} S)/2 - log Z, with log Z the
@@ -149,7 +165,9 @@ def iw_log_pdf(iw: InverseWishartParams, C: PDMatrix) -> float:
         raise DimensionMismatch(f"iw_log_pdf: dims {C.dim} vs {d}")
     nu = iw.shape
     trace = float(np.sum(pdcore.whiten(C, iw.scatter.factor) ** 2))
-    return -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - _log_normaliser(iw.scatter, nu)
+    return float(
+        -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - _log_normaliser(iw.scatter, nu)
+    )
 
 
 def iw_mode(iw: InverseWishartParams) -> PDMatrix:

@@ -524,6 +524,10 @@ _MALFORMED = {
         {"p.json": '{"mean": [0], "cov": [[1e300]]}', "q.json": '{"mean": [0], "cov": [[1e-300]]}'},
         ["kl", "{}/p.json", "{}/q.json"], {}, 3,
     ),
+    "kl_overflow_in_solve": (
+        {"p.json": '{"mean": [1e300], "cov": [[1]]}', "q.json": '{"mean": [0], "cov": [[1e-300]]}'},
+        ["kl", "{}/p.json", "{}/q.json"], {}, 3,
+    ),
     "sample_overflow": (
         {"d.json": '{"scatter": [[1e-300]], "shape": 1e300}'},
         ["sample", "{}/d.json", "-n", "2"], {}, 3,

@@ -20,3 +20,12 @@ def test_only_pdcore_and_verify_use_linalg():
     src = Path(klwishart.__file__).parent
     for name in ("gaussian.py", "klpriors.py", "wishart.py", "inference.py", "cli.py"):
         assert "linalg" not in (src / name).read_text(), name
+
+
+def test_only_pdcore_sets_the_floating_point_error_state():
+    # One overflow policy, pdcore.raise_fp_errors; the CLI and the other
+    # modules inherit it from the library calls they make.
+    src = Path(klwishart.__file__).parent
+    for path in src.glob("*.py"):
+        if path.name != "pdcore.py":
+            assert "errstate" not in path.read_text(), path.name

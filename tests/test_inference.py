@@ -253,6 +253,23 @@ class TestPosteriorUnknown:
                 rtol=1e-10,
                 atol=1e-12,
             )
+            # Known mean: the next prior is rebuilt from the posterior's
+            # (Sigma*, alpha*).
+            mu = srng.standard_normal(d)
+            known = KLWishartPrior(prior.mode_cov, prior.pseudocount, mu)
+            post1 = inference.posterior_known_mean(known, data[:k])
+            rebuilt = KLWishartPrior(
+                pdcore.make_pd(inference.map_known_mean_cov(post1)), post1.pseudo_total, mu
+            )
+            post2 = inference.posterior_known_mean(rebuilt, data[k:])
+            full = inference.posterior_known_mean(known, data)
+            assert post2.wishart.shape == full.wishart.shape
+            assert np.allclose(
+                post2.wishart.scale_inv.entries,
+                full.wishart.scale_inv.entries,
+                rtol=1e-10,
+                atol=1e-12,
+            )
 
 
 class TestMapUnknown:

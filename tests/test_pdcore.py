@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from klwishart import pdcore
 from klwishart.errors import DimensionMismatch, NotPositiveDefinite, NotSquare
@@ -52,6 +54,59 @@ class TestMakePD:
     def test_tiny_pivot_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             pdcore.make_pd(np.diag([1.0, 1e-14]))
+
+    def test_empty_not_square(self):
+        with pytest.raises(NotSquare):
+            pdcore.make_pd(np.zeros((0, 0)))
+
+
+def _rng(draw):
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def conditioned_up_to_1e8(draw):
+    """Q diag(lambda) Q' with Q orthogonal and max/min lambda <= 1e8."""
+    d = draw(st.integers(1, 6))
+    q, _ = np.linalg.qr(_rng(draw).standard_normal((d, d)))
+    exponents = np.array(draw(st.lists(st.floats(0, 8), min_size=d, max_size=d)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    return (q * (scale * 10.0**exponents)) @ q.T
+
+
+@st.composite
+def rank_deficient(draw):
+    """Z Z' for a d x r matrix Z with r < d."""
+    d = draw(st.integers(1, 6))
+    z = _rng(draw).standard_normal((d, draw(st.integers(0, d - 1))))
+    z *= 10.0 ** draw(st.integers(-100, 100))
+    return z @ z.T
+
+
+square = st.integers(0, 4).map(lambda d: (d, d))
+below_1e300 = arrays(
+    float,
+    square | array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(-1e300, 1e300),
+)
+
+
+class TestMakePDProperties:
+    @given(conditioned_up_to_1e8())
+    def test_accepts_condition_number_up_to_1e8(self, a):
+        assert pdcore.make_pd(a).dim == a.shape[0]
+
+    @given(rank_deficient())
+    def test_rejects_rank_deficient(self, a):
+        with pytest.raises(NotPositiveDefinite):
+            pdcore.make_pd(a)
+
+    @given(below_1e300)
+    def test_raises_only_not_square_or_not_positive_definite(self, a):
+        try:
+            pdcore.make_pd(a)
+        except (NotSquare, NotPositiveDefinite):
+            pass
 
 
 class TestLogdet:
