@@ -17,8 +17,11 @@ BACKEND = "numpy"
 _BLOCK = 4096
 
 
-def batch_bartlett(L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray) -> np.ndarray:
-    """Stack of samples L T_k T_k' L' from pre-drawn Bartlett randoms.
+def batch_bartlett(
+    L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Stack of samples L T_k T_k' L' from pre-drawn Bartlett randoms,
+    written into `out` (n, d, d) when given, else into a new array.
 
     T_k is lower triangular with diagonal tdiag[k] and strict lower
     triangle offd[k] in row-major order. L and T_k are both lower
@@ -31,7 +34,8 @@ def batch_bartlett(L: np.ndarray, tdiag: np.ndarray, offd: np.ndarray) -> np.nda
     runs the arithmetic elementwise across draws.
     """
     n, d = tdiag.shape
-    out = np.empty((n, d, d))
+    if out is None:
+        out = np.empty((n, d, d))
     size = min(n, _BLOCK)
     a, c, tmp = (np.empty((d, d, size)) for _ in range(3))
     for start in range(0, n, _BLOCK):

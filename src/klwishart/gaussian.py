@@ -49,7 +49,14 @@ def logpdf(g: Gaussian, x) -> float | np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != g.dim:
         raise DimensionMismatch(f"point {x.shape} vs dim {g.dim}")
     # Mahalanobis term ||L^{-1} delta||^2, every row in one whiten.
-    y = pdcore.whiten(g.cov, (x - g.mean).T)
+    try:
+        y = pdcore.whiten(g.cov, (x - g.mean).T)
+    except FloatingPointError:
+        # A NaN or infinite x ends here too; testing x only on this path
+        # keeps the check off the per-point cost.
+        if not np.isfinite(x).all():
+            raise KLWishartError("point x must be finite") from None
+        raise
     maha = float(y @ y) if x.ndim == 1 else np.sum(y * y, axis=0)
     return -0.5 * (g.dim * LOG_2PI + g.cov.logdet + maha)
 
@@ -82,6 +89,8 @@ def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (p.dim,) or prec.dim != p.dim:
         raise DimensionMismatch("expected_loglik: dimension mismatch")
+    if not np.isfinite(mu).all():
+        raise KLWishartError("mu must be finite")
     value = (
         p.dim * LOG_2PI
         - prec.logdet

@@ -106,6 +106,8 @@ def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     mu = np.asarray(mu, dtype=float)
     if P.dim != p.dim or mu.shape != (p.dim,):
         raise DimensionMismatch("log_density_nw_prior: dimension mismatch")
+    if not np.isfinite(mu).all():
+        raise KLWishartError("mu must be finite")
     wish, m, alpha = to_normal_wishart(p)
     d = p.dim
     # log N(mu | m, (alpha P)^{-1}), from P's own factor.

@@ -8,15 +8,22 @@ Sampling uses the Bartlett construction, valid for any real nu > d - 1.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from . import pdcore
-from ._kernels import batch_bartlett
+from ._kernels import _BLOCK, batch_bartlett
 from .errors import DimensionMismatch, InvalidShape, NoInteriorMode, ShapeTooSmall
 from .pdcore import PDMatrix, raise_fp_errors
 
 LOG_PI = math.log(math.pi)
+
+# Draws per kernel call in `sample_wishart_batch`: a whole number of kernel
+# blocks, so every call but the last runs full blocks.  The normals of the
+# first chunk and the kernel of the last one overlap nothing, so a chunk is
+# kept short.
+_CHUNK = 2 * _BLOCK
 
 
 def validate_shape(nu: float, d: int) -> None:
@@ -137,13 +144,52 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
 
     T lower triangular with T_ii^2 ~ chi-square(nu - i + 1) and standard
     normal strict lower triangle; sample = L T T' L' with L = chol(V).
+
+    The randoms come from `rng` in one fixed order: all n x d gammas, then
+    the n x d(d-1)/2 normals row by row, so a seed gives the same samples
+    and leaves `rng` in the same state as drawing them all up front.  One
+    helper thread draws the normals in chunks of _CHUNK rows while the
+    kernel runs on the calling thread, chunk by chunk, under this
+    function's floating-point policy.  numpy's generator releases the
+    interpreter lock while it draws, so the two run side by side on at
+    most two cores.
     """
     d = w.dim
     nu = w.shape
     L = w.scale().factor
     tdiag = np.sqrt(rng.gamma(shape=(nu - np.arange(d)) / 2.0, scale=2.0, size=(n, d)))
-    offd = rng.standard_normal((n, d * (d - 1) // 2))
-    return batch_bartlett(L, tdiag, offd)
+    offd = np.empty((n, d * (d - 1) // 2))
+    out = np.empty((n, d, d))
+    ready, failed = threading.Semaphore(0), []
+    helper = threading.Thread(target=_draw_normals, args=(rng, offd, ready, failed))
+    helper.start()
+    try:
+        for start in range(0, n, _CHUNK):
+            ready.acquire()
+            if failed:
+                raise failed[0]
+            rows = slice(start, start + _CHUNK)
+            batch_bartlett(L, tdiag[rows], offd[rows], out=out[rows])
+    finally:
+        helper.join()
+    return out
+
+
+def _draw_normals(
+    rng: np.random.Generator, offd: np.ndarray, ready: threading.Semaphore, failed: list
+) -> None:
+    """Fill offd with standard normals, _CHUNK rows at a time in order,
+    releasing `ready` once per chunk.  An error is recorded in `failed` for
+    the caller to raise, and every remaining permit is released so the
+    caller does not wait on a chunk that will never come."""
+    chunks = range(0, len(offd), _CHUNK)
+    try:
+        for start in chunks:
+            rng.standard_normal(out=offd[start : start + _CHUNK])
+            ready.release()
+    except BaseException as exc:  # re-raised on the calling thread
+        failed.append(exc)
+        ready.release(len(chunks))
 
 
 def sample_wishart(w: WishartParams, rng: np.random.Generator) -> PDMatrix:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from klwishart import gaussian, pdcore
-from klwishart.errors import DimensionMismatch
+from klwishart.errors import DimensionMismatch, KLWishartError
 from klwishart.gaussian import Gaussian
 
 
@@ -59,6 +59,16 @@ class TestLogpdf:
         g = Gaussian([0.0, 1.0], pdcore.make_pd(np.eye(2)))
         with pytest.raises(DimensionMismatch):
             gaussian.logpdf(g, np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "x",
+        [[np.nan, 0.0], [0.0, -np.inf], [[0.0, 0.0], [np.inf, 1.0]]],
+        ids=["nan_point", "inf_point", "inf_row"],
+    )
+    def test_non_finite_point_rejected(self, x):
+        g = Gaussian([0.0, 1.0], pdcore.make_pd([[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(KLWishartError, match="must be finite"):
+            gaussian.logpdf(g, x)
 
     def test_integrates_to_one_1d(self):
         g = Gaussian([0.3], pdcore.make_pd([[2.5]]))
@@ -190,6 +200,12 @@ class TestExpectedLoglik:
                 + gaussian.entropy(p)
             )
             assert abs(lhs) < 1e-10
+
+    @pytest.mark.parametrize("mu", [[np.nan, 0.0], [0.0, np.inf]], ids=["nan", "inf"])
+    def test_non_finite_mu_rejected(self, mu):
+        g = Gaussian([0.0, 1.0], pdcore.make_pd(np.eye(2)))
+        with pytest.raises(KLWishartError, match="must be finite"):
+            gaussian.expected_loglik(g, mu, pdcore.make_pd(np.eye(2)))
 
     def test_monte_carlo(self):
         rng = np.random.default_rng(23)

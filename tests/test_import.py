@@ -15,6 +15,19 @@ def test_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_loads_no_thread_pool_or_logging():
+    # The sampler's helper thread uses `threading`; concurrent.futures would
+    # bring in logging and lengthen every start-up.
+    code = (
+        "import sys, klwishart; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'logging' or m.startswith('concurrent')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_only_pdcore_and_verify_use_linalg():
     # Factoring and solving live in pdcore; verify keeps its reference maths.
     src = Path(klwishart.__file__).parent

@@ -83,6 +83,16 @@ def test_rows_do_not_depend_on_block(n):
         assert np.array_equal(out[r], alone[0]), r
 
 
+def test_writes_into_given_output():
+    d, n = 3, B + 7
+    L, tdiag, offd = randoms(d, n, 60)
+    buffer = np.full((n + 2, d, d), np.nan)
+    view = buffer[1:-1]
+    assert _kernels.batch_bartlett(L, tdiag, offd, out=view) is view
+    assert np.array_equal(view, _kernels.batch_bartlett(L, tdiag, offd))
+    assert np.isnan(buffer[[0, -1]]).all()
+
+
 def test_peak_memory_close_to_output_size():
     L, tdiag, offd = randoms(10, 100_000, 0)
     tracemalloc.start()

@@ -192,6 +192,12 @@ class TestNormalWishartDensity:
             pert = pdcore.make_pd(sigma_inv.entries + noise @ noise.T + 0.01 * np.eye(2))
             assert klpriors.log_density_nw_prior(p, mu, pert) < at_mode
 
+    @pytest.mark.parametrize("mu", [[np.nan, 0.0], [0.0, -np.inf]], ids=["nan", "inf"])
+    def test_non_finite_mu_rejected(self, mu):
+        p = KLNormalWishartPrior([0.0, 0.0], pdcore.make_pd(np.eye(2)), 2.0)
+        with pytest.raises(KLWishartError, match="must be finite"):
+            klpriors.log_density_nw_prior(p, mu, pdcore.make_pd(np.eye(2)))
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_kl_residual_constant(self, d):
         rng = np.random.default_rng(d + 20)

@@ -41,6 +41,11 @@ _OVERFLOW = {
     "sample_wishart_batch": lambda: wishart.sample_wishart_batch(
         WishartParams(_one(1e-300), 1e300), 2, np.random.default_rng(0)
     ),
+    # Three chunks of draws: the kernel raises on the calling thread while
+    # the helper thread may still be drawing the normals of later chunks.
+    "sample_wishart_batch_chunks": lambda: wishart.sample_wishart_batch(
+        WishartParams(pd(I2 * 1e-300), 1e300), 2 * wishart._CHUNK + 1, np.random.default_rng(0)
+    ),
     # (nu - 2)/2 log|P| overflows while log Gamma(nu/2) is still finite.
     "wishart_log_pdf_shape": lambda: wishart.wishart_log_pdf(
         WishartParams(_one(1.0), 5.1e305), _one(8.9e307)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from klwishart.errors import (
     ShapeTooSmall,
 )
 from klwishart.wishart import InverseWishartParams, WishartParams
+
+C = wishart._CHUNK
 
 
 def random_pd(d, rng, spread=1.0):
@@ -202,6 +207,60 @@ class TestSampling:
         L = np.linalg.cholesky(w.scale().entries)
         assert np.array_equal(draws, batch_bartlett(L, tdiag, offd))
 
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_stream_equals_serial_draws(self, d, n):
+        # The helper thread draws the normals in chunks; the samples and the
+        # generator's state after the call are those of drawing every
+        # gamma, then every normal, then running the kernel once.
+        w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(d)), shape=d + 0.5)
+        rng = np.random.default_rng(n + 7)
+        draws = wishart.sample_wishart_batch(w, n, rng)
+        same = np.random.default_rng(n + 7)
+        tdiag = np.sqrt(same.gamma(shape=(w.shape - np.arange(d)) / 2.0, scale=2.0, size=(n, d)))
+        offd = same.standard_normal((n, d * (d - 1) // 2))
+        assert draws.tobytes() == batch_bartlett(w.scale().factor, tdiag, offd).tobytes()
+        assert rng.standard_normal() == same.standard_normal()
+
+    def test_kernel_runs_on_calling_thread_under_the_guard(self, monkeypatch):
+        # Called through the module's global name, as a tracer rebinds it,
+        # on this thread and under raise_fp_errors.
+        seen = []
+
+        def kernel(*args, **kwargs):
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return batch_bartlett(*args, **kwargs)
+
+        monkeypatch.setattr(wishart, "batch_bartlett", kernel)
+        w = WishartParams(scale_inv=random_pd(3, np.random.default_rng(1)), shape=4.0)
+        wishart.sample_wishart_batch(w, 2 * C + 1, np.random.default_rng(2))
+        assert seen == [(threading.get_ident(), "raise")] * 3
+
+    def test_concurrent_callers_under_short_switch_interval(self):
+        # Four callers on two cores, each with its own generator and so its
+        # own helper thread, with thread switches forced often.
+        w = WishartParams(scale_inv=random_pd(3, np.random.default_rng(3)), shape=4.5)
+        n = 3 * C + 5
+        expected = [wishart.sample_wishart_batch(w, n, np.random.default_rng(s)) for s in range(4)]
+        got = [None] * 4
+
+        def run(s):
+            got[s] = wishart.sample_wishart_batch(w, n, np.random.default_rng(s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(s,), daemon=True) for s in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for s in range(4):
+            assert got[s] is not None and got[s].tobytes() == expected[s].tobytes(), s
+
     @pytest.mark.parametrize("d,nu", [(1, 1.5), (2, 3.5), (3, 4.2)])
     def test_sampler_moments(self, d, nu):
         rng = np.random.default_rng(d * 10 + 1)
@@ -211,6 +270,69 @@ class TestSampling:
         exact = nu * w.scale().entries
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * se)
+
+
+class _FailingNormals:
+    """A generator whose second standard_normal call raises, late enough
+    that the caller is already waiting for that chunk."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def gamma(self, **kwargs):
+        return self.rng.gamma(**kwargs)
+
+    def standard_normal(self, **kwargs):
+        self.calls += 1
+        if self.calls == 2:
+            time.sleep(0.2)
+            raise RuntimeError("normal draw failed")
+        return self.rng.standard_normal(**kwargs)
+
+
+# Failure -> (a call that fails after its first chunk, the error it raises).
+_FAILURES = {
+    "helper_draw": (
+        lambda: wishart.sample_wishart_batch(
+            WishartParams(pdcore.make_pd(np.eye(3)), 4.0), 3 * C, _FailingNormals(0)
+        ),
+        RuntimeError,
+    ),
+    # Seed 1 keeps every draw of the first chunk finite; the first one whose
+    # square overflows is row 9945.
+    "kernel_overflow": (
+        lambda: wishart.sample_wishart_batch(
+            WishartParams(pdcore.make_pd(np.eye(2) / 6.5e306), 3.0), 2 * C + 1, np.random.default_rng(1)
+        ),
+        FloatingPointError,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", _FAILURES.values(), ids=_FAILURES)
+def test_failure_after_first_chunk_raises_and_leaves_no_thread(call, error):
+    threads = threading.active_count()
+    caught = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:
+            caught.append(exc)
+
+    # A daemon, so a caller left waiting on a chunk cannot hold up the run.
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "sample_wishart_batch did not return"
+    assert len(caught) == 1 and isinstance(caught[0], error), caught
+    assert threading.active_count() == threads
+
+
+def test_overflow_case_is_finite_in_its_first_chunk():
+    w = WishartParams(pdcore.make_pd(np.eye(2) / 6.5e306), 3.0)
+    assert np.isfinite(wishart.sample_wishart_batch(w, C, np.random.default_rng(1))).all()
 
 
 class TestInverseWishart:
