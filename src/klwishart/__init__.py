@@ -41,7 +41,6 @@ from .klpriors import (
 )
 from .pdcore import PDMatrix, make_pd
 from .wishart import (
-    InverseWishartParams,
     WishartParams,
     iw_log_pdf,
     iw_mode,

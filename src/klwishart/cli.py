@@ -172,11 +172,7 @@ def _fit_report(args, data: np.ndarray) -> dict:
     if args.mean_mode == "known":
         if args.known_mu is None:
             raise ValueError("--known-mu is required with --mean-mode known")
-        mu = np.asarray([float(x) for x in args.known_mu.split(",")])
-        if mu.shape != (d,):
-            raise ValueError(f"--known-mu has {mu.shape[0]} entries, data has {d} columns")
-        if not np.isfinite(mu).all():
-            raise ValueError("--known-mu must be finite")
+        mu = pdcore.finite_vector([float(x) for x in args.known_mu.split(",")], d, "--known-mu")
     elif args.known_mu is not None:
         raise ValueError("--known-mu only applies with --mean-mode known")
 

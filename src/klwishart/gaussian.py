@@ -25,15 +25,7 @@ class Gaussian:
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov: PDMatrix):
-        mean = np.asarray(mean, dtype=float)
-        if mean.shape != (cov.dim,):
-            raise DimensionMismatch(
-                f"mean length {mean.shape} vs covariance dim {cov.dim}"
-            )
-        if not np.isfinite(mean).all():
-            raise KLWishartError("Gaussian mean must be finite")
-        mean.setflags(write=False)
-        self.mean = mean
+        self.mean = pdcore.finite_vector(mean, cov.dim, "Gaussian mean")
         self.cov = cov
 
     @property
@@ -86,11 +78,9 @@ def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
 
     Equals -KL(p || N(mu, prec^{-1})) - entropy(p).
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (p.dim,) or prec.dim != p.dim:
+    if prec.dim != p.dim:
         raise DimensionMismatch("expected_loglik: dimension mismatch")
-    if not np.isfinite(mu).all():
-        raise KLWishartError("mu must be finite")
+    mu = pdcore.finite_vector(mu, p.dim, "mu")
     value = (
         p.dim * LOG_2PI
         - prec.logdet

@@ -94,14 +94,11 @@ def merge_stats(a: SufficientStats, b: SufficientStats) -> SufficientStats:
 
 @dataclass(frozen=True)
 class PosteriorKnownMean:
-    """Wishart posterior over the precision; shape is n + alpha + d + 1."""
+    """Wishart posterior over the precision, with pseudo_total = n + alpha
+    as computed and shape pseudo_total + d + 1."""
 
     wishart: WishartParams
-
-    @property
-    def pseudo_total(self) -> float:
-        """n + alpha, recovered from the shape."""
-        return self.wishart.shape - self.wishart.dim - 1
+    pseudo_total: np.float64
 
 
 @dataclass(frozen=True)
@@ -145,11 +142,9 @@ def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
         raise DimensionMismatch(mismatch)
     delta = x - prior.known_mean
     s_bar = prior.pseudocount * prior.mode_cov.entries + delta.T @ delta
-    n = x.shape[0]
-    wish = WishartParams(
-        scale_inv=pdcore.make_pd(s_bar), shape=n + prior.pseudocount + d + 1
-    )
-    return PosteriorKnownMean(wishart=wish)
+    total = x.shape[0] + prior.pseudocount
+    wish = WishartParams(scale_inv=pdcore.make_pd(s_bar), shape=total + d + 1)
+    return PosteriorKnownMean(wishart=wish, pseudo_total=total)
 
 
 def map_known_mean(post: PosteriorKnownMean) -> PDMatrix:
@@ -213,11 +208,7 @@ def _limit_scatter(stats: SufficientStats, known_mu, what: str):
         min_n, need = d + 1, "d + 1 (centering costs one count)"
         label, about = f"unknown-mean {what}", "centered scatter"
     else:
-        mu = np.asarray(known_mu, dtype=float)
-        if mu.shape != (d,):
-            raise DimensionMismatch(f"known-mean {what}: known_mu has shape {mu.shape}, d={d}")
-        if not np.isfinite(mu).all():
-            raise KLWishartError(f"known-mean {what}: known_mu must be finite")
+        mu = pdcore.finite_vector(known_mu, d, "known_mu")
         scatter = _scatter_about(stats, mu)
         min_n, need = d, "d"
         label, about = f"known-mean {what}", "scatter about the known mean"
@@ -248,10 +239,10 @@ def noninformative_posterior(stats: SufficientStats, known_mu=None):
         return PosteriorNormalWishart(
             pseudocount_post=float(stats.count), mean_post=mu, mode_cov_post=cov
         )
+    total = np.float64(stats.count)
     return PosteriorKnownMean(
-        wishart=WishartParams(
-            scale_inv=pdcore.make_pd(scatter), shape=stats.count + stats.dim + 1
-        )
+        wishart=WishartParams(scale_inv=pdcore.make_pd(scatter), shape=total + stats.dim + 1),
+        pseudo_total=total,
     )
 
 

@@ -31,24 +31,13 @@ def _check_alpha(alpha: float) -> np.float64:
     return np.float64(alpha)
 
 
-def _finite_mean(mean, dim: int, name: str) -> np.ndarray:
-    """mean as a read-only float vector of length dim with finite entries."""
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (dim,):
-        raise DimensionMismatch(f"{name} length vs mode_cov dimension")
-    if not np.isfinite(mean).all():
-        raise KLWishartError(f"{name} must be finite")
-    mean.setflags(write=False)
-    return mean
-
-
 class KLWishartPrior:
     """Known-mean precision prior with mode Sigma^{-1} and pseudocount alpha."""
 
     __slots__ = ("mode_cov", "pseudocount", "known_mean")
 
     def __init__(self, mode_cov: PDMatrix, pseudocount: float, known_mean):
-        self.known_mean = _finite_mean(known_mean, mode_cov.dim, "known_mean")
+        self.known_mean = pdcore.finite_vector(known_mean, mode_cov.dim, "known_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
 
@@ -63,7 +52,7 @@ class KLNormalWishartPrior:
     __slots__ = ("prior_mean", "mode_cov", "pseudocount")
 
     def __init__(self, prior_mean, mode_cov: PDMatrix, pseudocount: float):
-        self.prior_mean = _finite_mean(prior_mean, mode_cov.dim, "prior_mean")
+        self.prior_mean = pdcore.finite_vector(prior_mean, mode_cov.dim, "prior_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
 
@@ -103,11 +92,9 @@ def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
 def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     """Joint log prior density of (mu, P); equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
-    mu = np.asarray(mu, dtype=float)
-    if P.dim != p.dim or mu.shape != (p.dim,):
+    if P.dim != p.dim:
         raise DimensionMismatch("log_density_nw_prior: dimension mismatch")
-    if not np.isfinite(mu).all():
-        raise KLWishartError("mu must be finite")
+    mu = pdcore.finite_vector(mu, p.dim, "mu")
     wish, m, alpha = to_normal_wishart(p)
     d = p.dim
     # log N(mu | m, (alpha P)^{-1}), from P's own factor.

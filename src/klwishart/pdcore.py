@@ -9,12 +9,15 @@ This is the only module that factors or solves: other modules work from
 the cached factor, through `whiten` (L^{-1} B), `solve`, `quad_form` and
 `PDMatrix.logdet`, and never form an inverse to evaluate a density.
 
+Every mean the library keeps, and every mean `mu` a density is evaluated
+at, enters through `finite_vector`, which checks its length and finiteness
+and keeps a read-only copy, so a caller's array is never frozen or shared.
+
 It also holds the library's one overflow policy, `raise_fp_errors`:
 arithmetic that overflows, divides by zero or turns invalid raises
-FloatingPointError.  `make_pd` and the public functions of `gaussian`,
-`wishart`, `klpriors` and `inference` that compute on caller values carry
-it as a decorator; `trace_product` and `quad_form` run under the guard of
-the function that calls them, and `whiten` and `solve` check what
+FloatingPointError.  `make_pd`, `trace_product`, `quad_form` and the public
+functions of `gaussian`, `wishart`, `klpriors` and `inference` that compute
+on caller values carry it as a decorator; `whiten` and `solve` check what
 np.linalg returns.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSquare
+from .errors import DimensionMismatch, KLWishartError, NotPositiveDefinite, NotSquare
 
 # Relative pivot threshold: L[i,i]^2 must exceed PIVOT_RTOL * max diagonal.
 PIVOT_RTOL = 1e-12
@@ -88,6 +91,19 @@ def make_pd(raw) -> PDMatrix:
     return PDMatrix(a, factor)
 
 
+def finite_vector(value, dim: int, name: str) -> np.ndarray:
+    """value as a new read-only float vector of shape (dim,) with finite
+    entries: DimensionMismatch for another shape, KLWishartError for a NaN
+    or infinity."""
+    v = np.array(value, dtype=float)
+    if v.shape != (dim,):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({dim},)")
+    if not np.isfinite(v).all():
+        raise KLWishartError(f"{name} must be finite")
+    v.setflags(write=False)
+    return v
+
+
 def _solved(x: np.ndarray) -> np.ndarray:
     # np.linalg runs its solvers with overflow ignored, out of reach of
     # raise_fp_errors; for finite operands a non-finite result is overflow.
@@ -112,6 +128,7 @@ def inverse(a: PDMatrix) -> PDMatrix:
     return make_pd(solve(a, np.eye(a.dim)))
 
 
+@raise_fp_errors
 def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64:
     """tr(A B) without forming the product matrix.  Like `quad_form` it
     returns a numpy scalar, so a caller's arithmetic on it obeys
@@ -121,6 +138,7 @@ def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64:
     return np.sum(a.entries * b.entries)
 
 
+@raise_fp_errors
 def quad_form(v, a: PDMatrix) -> np.float64:
     """v' A v; nonnegative, zero only at v = 0."""
     v = np.asarray(v, dtype=float)

@@ -2,6 +2,9 @@
 
 Parameters are stored scatter-side (S = V^{-1}) because the posterior
 update formulas are additive in S; the scale V is derived on demand.
+There is one parameter type: in the Dawid convention C ~ IW(S, nu) iff
+P = C^{-1} ~ W(S^{-1}, nu), so `iw_log_pdf` and `iw_mode` take the
+`WishartParams` of P and read S from its `scale_inv`.
 Sampling uses the Bartlett construction, valid for any real nu > d - 1.
 """
 
@@ -69,22 +72,6 @@ class WishartParams:
     def scale(self) -> PDMatrix:
         """V = S^{-1}."""
         return pdcore.inverse(self.scale_inv)
-
-
-class InverseWishartParams:
-    """Inverse-Wishart IW(S, nu) in the Dawid convention: P ~ W(S^{-1}, nu)
-    iff C = P^{-1} ~ IW(S, nu)."""
-
-    __slots__ = ("scatter", "shape")
-
-    def __init__(self, scatter: PDMatrix, shape: float):
-        validate_shape(shape, scatter.dim)
-        self.scatter = scatter
-        self.shape = np.float64(shape)
-
-    @property
-    def dim(self) -> int:
-        return self.scatter.dim
 
 
 @raise_fp_errors
@@ -198,29 +185,25 @@ def sample_wishart(w: WishartParams, rng: np.random.Generator) -> PDMatrix:
 
 
 @raise_fp_errors
-def iw_log_pdf(iw: InverseWishartParams, C: PDMatrix) -> float:
-    """log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|
+def iw_log_pdf(w: WishartParams, C: PDMatrix) -> float:
+    """log density of C = P^{-1} for P ~ w = W(S^{-1}, nu), that is
+    log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|
     = -((nu + d + 1)/2) log|C| - tr(C^{-1} S)/2 - log Z, with log Z the
     normaliser of W(S^{-1}, nu).
 
     Evaluated from the factors without inverting C:
     tr(C^{-1} S) = ||L_C^{-1} L_S||_F^2.
     """
-    d = iw.dim
+    d = w.dim
     if C.dim != d:
         raise DimensionMismatch(f"iw_log_pdf: dims {C.dim} vs {d}")
-    nu = iw.shape
-    trace = float(np.sum(pdcore.whiten(C, iw.scatter.factor) ** 2))
+    nu = w.shape
+    trace = float(np.sum(pdcore.whiten(C, w.scale_inv.factor) ** 2))
     return float(
-        -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - _log_normaliser(iw.scatter, nu)
+        -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - _log_normaliser(w.scale_inv, nu)
     )
 
 
-def iw_mode(iw: InverseWishartParams) -> PDMatrix:
-    """Inverse-Wishart mode S / (nu + d + 1)."""
-    return pdcore.make_pd(iw.scatter.entries / (iw.shape + iw.dim + 1))
-
-
-def wishart_to_inverse(w: WishartParams) -> InverseWishartParams:
-    """P ~ W(S^{-1}, nu) iff P^{-1} ~ IW(S, nu)."""
-    return InverseWishartParams(scatter=w.scale_inv, shape=w.shape)
+def iw_mode(w: WishartParams) -> PDMatrix:
+    """Mode S / (nu + d + 1) of C = P^{-1} for P ~ w."""
+    return pdcore.make_pd(w.scale_inv.entries / (w.shape + w.dim + 1))

@@ -162,10 +162,9 @@ def test_07_inverse_wishart_relation():
         s = random_pd(d, rng)
         nu = d - 1 + 0.5 + 5 * rng.random()
         c = random_pd(d, rng)
-        iw = wishart.InverseWishartParams(scatter=s, shape=nu)
         w = wishart.WishartParams(scale_inv=s, shape=nu)
         resid = abs(
-            wishart.iw_log_pdf(iw, c)
+            wishart.iw_log_pdf(w, c)
             - wishart.wishart_log_pdf(w, pdcore.inverse(c))
             + (d + 1) * c.logdet
         )
@@ -177,7 +176,7 @@ def test_07_inverse_wishart_relation():
     )
     post = inference.posterior_known_mean(prior, rng.standard_normal((n, d)))
     map_cov = inference.map_known_mean_cov(post)
-    iw_mode = wishart.iw_mode(wishart.wishart_to_inverse(post.wishart)).entries
+    iw_mode = wishart.iw_mode(post.wishart).entries
     factor = (n + alpha + 2 * d + 2) / (n + alpha)
     ok &= np.allclose(map_cov, factor * iw_mode, rtol=1e-12)
     announce(7, "inverse-Wishart relation", ok)

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,3 +49,16 @@ def test_posterior_known_mean_takes_raw_rows(bench):
     assert isinstance(post, inference.PosteriorKnownMean)
     counter = bench.ITEM_COUNTERS["inference.posterior_known_mean"]
     assert counter((prior, rows), {}, post) == {"rows": 16}
+
+
+def test_lib_online_episode_has_no_failed_operations(bench):
+    # One d = 2 episode of the lib-online workload, with its own reference
+    # checks: it reads attributes the tracer does not wrap (pseudo_total,
+    # wishart, as_prior, mean_post, map_known_mean_cov).
+    names = ("gaussian", "inference", "klpriors", "pdcore", "verify", "wishart")
+    kw = SimpleNamespace(**{name: importlib.import_module(f"klwishart.{name}") for name in names})
+    workload = bench.wl.LibOnline(1, kw)
+    rec = bench.wl.Recorder()
+    workload.episode(2, rec)
+    assert rec.attempted == workload.STEPS
+    assert rec.failed == 0, rec.failures

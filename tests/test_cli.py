@@ -168,6 +168,21 @@ class TestFit:
         assert res.returncode == 1
         assert res.stderr == "error: --known-mu must be finite\n"
 
+    def test_known_mean_alpha_star_is_n_plus_alpha(self, tmp_path):
+        # n + alpha = 1 + 0.1 = 1.1 exactly; recovered from the shape it
+        # was 1.0999999999999996.
+        p = tmp_path / "one.csv"
+        p.write_text("0.5,1\n")
+        res = run_cli(
+            ["fit", "--data", str(p), "--mean-mode", "known",
+             "--known-mu=0,0", "--alpha", "0.1"]
+        )
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["posterior"]["kl"]["alpha*"] == 1.1
+        # (0.1 + 1 * 1) / 1.1
+        assert report["map"]["cov"][1][1] == 1.0
+
     @pytest.mark.parametrize("alpha", ["1", "0"])
     def test_non_finite_data_exit_1(self, tmp_path, alpha):
         p = tmp_path / "nan.csv"
@@ -510,6 +525,11 @@ _MALFORMED = {
     "fit_mode_cov_wrong_dimension": (
         {"x.csv": _DATA_2D, "c.json": "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"},
         ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 3,
+    ),
+    "fit_known_mu_wrong_length": (
+        {"x.csv": _DATA_2D},
+        ["fit", "--data", "{}/x.csv", "--mean-mode", "known", "--known-mu=0,0,0", "--alpha", "1"],
+        {}, 3,
     ),
     "fit_output_unwritable": (
         {"x.csv": _DATA_2D},

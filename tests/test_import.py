@@ -42,3 +42,12 @@ def test_only_pdcore_sets_the_floating_point_error_state():
     for path in src.glob("*.py"):
         if path.name != "pdcore.py":
             assert "errstate" not in path.read_text(), path.name
+
+
+def test_only_pdcore_freezes_arrays():
+    # PDMatrix freezes the arrays it builds, and finite_vector its own copy
+    # of a caller's vector; no other module makes an array read-only.
+    src = Path(klwishart.__file__).parent
+    for path in src.glob("*.py"):
+        if path.name != "pdcore.py":
+            assert "setflags(write=False)" not in path.read_text(), path.name

@@ -93,6 +93,19 @@ class TestPosteriorKnownMean:
         assert np.allclose(post.wishart.scale_inv.entries, ref.scale_inv.entries)
         assert post.wishart.shape == ref.shape
 
+    def test_pseudo_total_is_n_plus_alpha_exactly(self):
+        # Recovering n + alpha from the shape, (n + alpha + d + 1) - d - 1,
+        # loses low bits for many of these (n, alpha, d).
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 3, 5):
+            prior_rows = rng.standard_normal((29, d))
+            for alpha in (0.1, 0.3, 0.7, 1.1, 1.0 / 3.0, 2.9, 1e-3, 12.34):
+                prior = KLWishartPrior(pdcore.make_pd(np.eye(d)), alpha, np.zeros(d))
+                for n in range(1, 30):
+                    post = inference.posterior_known_mean(prior, prior_rows[:n])
+                    assert post.pseudo_total == n + alpha
+                    assert post.wishart.shape == n + alpha + d + 1
+
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_matches_per_row_outer_sum(self, d):
         rng = np.random.default_rng(d)
@@ -173,8 +186,7 @@ class TestMapKnownMean:
         )
         post = inference.posterior_known_mean(prior, rng.standard_normal((n, d)))
         map_cov = inference.map_known_mean_cov(post)
-        iw = wishart.wishart_to_inverse(post.wishart)
-        iw_mode = wishart.iw_mode(iw).entries
+        iw_mode = wishart.iw_mode(post.wishart).entries
         factor = (n + alpha + 2 * d + 2) / (n + alpha)
         assert np.allclose(map_cov, factor * iw_mode, rtol=1e-12)
 
@@ -307,6 +319,7 @@ class TestNoninformative:
         stats = inference.suff_stats(data)
         post = inference.noninformative_posterior(stats, known_mu=mu)
         assert post.wishart.shape == n + d + 1
+        assert type(post.pseudo_total) is np.float64 and post.pseudo_total == n
         scatter = sum(np.outer(x - mu, x - mu) for x in data)
         assert np.allclose(post.wishart.scale_inv.entries, scatter, atol=1e-10)
         assert np.allclose(

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from klwishart import pdcore
+from klwishart import inference, pdcore
 from klwishart.errors import DimensionMismatch, NotPositiveDefinite, NotSquare
+from klwishart.gaussian import Gaussian
+from klwishart.klpriors import KLNormalWishartPrior, KLWishartPrior
 
 
 def cofactor_det(a: np.ndarray) -> float:
@@ -217,3 +219,39 @@ def test_immutability():
     a = pdcore.make_pd(np.eye(2))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 5.0
+
+
+def test_finite_vector_names_the_wrong_shape():
+    with pytest.raises(DimensionMismatch, match=r"^m has shape \(3,\), expected \(2,\)$"):
+        pdcore.finite_vector([0.0, 0.0, 0.0], 2, "m")
+    with pytest.raises(DimensionMismatch, match=r"^m has shape \(1, 2\)"):
+        pdcore.finite_vector([[0.0, 0.0]], 2, "m")
+
+
+_I2 = pdcore.make_pd(np.eye(2))
+_STATS = inference.suff_stats([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+def _noninformative(mu):
+    inference.noninformative_posterior(_STATS, known_mu=mu)
+
+
+# Entry point -> a call on a caller's mean that returns the library's copy
+# of it, or None where the result holds no copy.
+_KEEPS_A_MEAN = {
+    "gaussian": lambda mu: Gaussian(mu, _I2).mean,
+    "known_mean_prior": lambda mu: KLWishartPrior(_I2, 1.0, mu).known_mean,
+    "normal_wishart_prior": lambda mu: KLNormalWishartPrior(mu, _I2, 1.0).prior_mean,
+    "noninformative_posterior": _noninformative,
+    "ml_estimate": lambda mu: inference.ml_estimate(_STATS, known_mu=mu)[0],
+}
+
+
+@pytest.mark.parametrize("call", _KEEPS_A_MEAN.values(), ids=_KEEPS_A_MEAN)
+def test_callers_mean_stays_writable_and_unshared(call):
+    mu = np.array([0.5, 1.0])
+    kept = call(mu)
+    mu[0] = 7.0  # raises ValueError if the call froze the caller's array
+    if kept is not None:
+        assert not np.shares_memory(kept, mu) and not kept.flags.writeable
+        assert kept.tolist() == [0.5, 1.0]

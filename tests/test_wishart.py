@@ -16,7 +16,7 @@ from klwishart.errors import (
     NoInteriorMode,
     ShapeTooSmall,
 )
-from klwishart.wishart import InverseWishartParams, WishartParams
+from klwishart.wishart import WishartParams
 
 C = wishart._CHUNK
 
@@ -48,7 +48,7 @@ class TestValidateShape:
         with pytest.raises(InvalidShape):
             WishartParams(scale_inv=pdcore.make_pd(np.eye(3)), shape=1.9)
         with pytest.raises(InvalidShape):
-            InverseWishartParams(scatter=pdcore.make_pd(np.eye(3)), shape=2.0)
+            WishartParams(scale_inv=pdcore.make_pd(np.eye(3)), shape=2.0)
 
 
 class TestLogPdf:
@@ -343,10 +343,9 @@ class TestInverseWishart:
             s = random_pd(d, rng)
             nu = d - 1 + 0.5 + 5 * rng.random()
             c = random_pd(d, rng)
-            iw = InverseWishartParams(scatter=s, shape=nu)
-            # matching Wishart W(S^{-1}, nu): scatter-side parameter is S
+            # C ~ IW(S, nu) iff C^{-1} ~ W(S^{-1}, nu): scatter-side parameter S
             w = WishartParams(scale_inv=s, shape=nu)
-            lhs = wishart.iw_log_pdf(iw, c)
+            lhs = wishart.iw_log_pdf(w, c)
             rhs = wishart.wishart_log_pdf(w, pdcore.inverse(c)) - (d + 1) * c.logdet
             assert abs(lhs - rhs) < 1e-10
 
@@ -358,37 +357,30 @@ class TestInverseWishart:
             s = random_pd(d, rng, spread=3.0)
             c = random_pd(d, rng, spread=0.5)
             nu = d - 1 + 0.5 + 8 * rng.random()
-            iw = InverseWishartParams(scatter=s, shape=nu)
             w = WishartParams(scale_inv=s, shape=nu)
             expect = wishart.wishart_log_pdf(w, pdcore.inverse(c)) - (d + 1) * c.logdet
-            assert wishart.iw_log_pdf(iw, c) == pytest.approx(expect, rel=1e-12)
+            assert wishart.iw_log_pdf(w, c) == pytest.approx(expect, rel=1e-12)
 
     def test_scalar_invgamma_oracle(self):
         # d=1: IW(s, nu) is InvGamma(a = nu/2, scale = s/2)
         s, nu, x = 3.0, 4.5, 0.8
-        iw = InverseWishartParams(scatter=pdcore.make_pd([[s]]), shape=nu)
+        w = WishartParams(scale_inv=pdcore.make_pd([[s]]), shape=nu)
         oracle = sp_invgamma.logpdf(x, a=nu / 2.0, scale=s / 2.0)
-        assert wishart.iw_log_pdf(iw, pdcore.make_pd([[x]])) == pytest.approx(
+        assert wishart.iw_log_pdf(w, pdcore.make_pd([[x]])) == pytest.approx(
             oracle, abs=1e-10
         )
 
     def test_iw_mode_maximizes(self):
         rng = np.random.default_rng(83)
         s = random_pd(2, rng)
-        iw = InverseWishartParams(scatter=s, shape=6.0)
-        mode = wishart.iw_mode(iw)
+        w = WishartParams(scale_inv=s, shape=6.0)
+        mode = wishart.iw_mode(w)
         assert np.allclose(mode.entries, s.entries / (6.0 + 2 + 1))
-        at_mode = wishart.iw_log_pdf(iw, mode)
+        at_mode = wishart.iw_log_pdf(w, mode)
         for _ in range(50):
             noise = rng.standard_normal((2, 2)) * 0.05
             pert = pdcore.make_pd(mode.entries + noise @ noise.T + 0.01 * np.eye(2))
-            assert wishart.iw_log_pdf(iw, pert) < at_mode
-
-    def test_conversion(self):
-        w = wp(np.diag([1.0, 2.0]), 5.0)
-        iw = wishart.wishart_to_inverse(w)
-        assert iw.shape == 5.0
-        assert np.allclose(iw.scatter.entries, w.scale_inv.entries)
+            assert wishart.iw_log_pdf(w, pert) < at_mode
 
 
 def test_multivariate_log_gamma_matches_scipy():
