@@ -4,7 +4,6 @@ Bartlett sampling and a numerical verification suite."""
 
 from ._kernels import BACKEND
 from .errors import (
-    DegenerateScatter,
     DimensionMismatch,
     EmptyData,
     InsufficientData,

@@ -33,10 +33,6 @@ class InsufficientData(KLWishartError):
     """Not enough data (or rank-deficient scatter) for a non-informative fit."""
 
 
-class DegenerateScatter(NotPositiveDefinite):
-    """Posterior scatter matrix is not positive definite."""
-
-
 class EmptyData(KLWishartError):
     """Data set contains no observations."""
 

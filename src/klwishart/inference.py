@@ -17,7 +17,6 @@ import numpy as np
 
 from . import pdcore
 from .errors import (
-    DegenerateScatter,
     DimensionMismatch,
     EmptyData,
     InsufficientData,
@@ -149,11 +148,7 @@ def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
 
 def map_known_mean(post: PosteriorKnownMean) -> PDMatrix:
     """MAP precision (n + alpha) S-bar^{-1}; equals the Wishart mode."""
-    try:
-        cov = pdcore.make_pd(map_known_mean_cov(post))
-    except NotPositiveDefinite as exc:
-        raise DegenerateScatter(str(exc)) from exc
-    return pdcore.inverse(cov)
+    return pdcore.inverse(pdcore.make_pd(map_known_mean_cov(post)))
 
 
 @raise_fp_errors
@@ -179,12 +174,10 @@ def posterior_unknown(
         + stats.centered_scatter
         + (n * alpha / (n + alpha)) * np.outer(delta, delta)
     )
-    try:
-        mode_cov = pdcore.make_pd(scaled_mode / alpha_post)
-    except NotPositiveDefinite as exc:
-        raise DegenerateScatter(str(exc)) from exc
     return PosteriorNormalWishart(
-        pseudocount_post=alpha_post, mean_post=mean_post, mode_cov_post=mode_cov
+        pseudocount_post=alpha_post,
+        mean_post=mean_post,
+        mode_cov_post=pdcore.make_pd(scaled_mode / alpha_post),
     )
 
 

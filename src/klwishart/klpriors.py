@@ -4,6 +4,12 @@ A prior is elicited as (mode covariance Sigma, pseudocount alpha > 0):
 its log-density is a scaled negative KL divergence between Gaussians, up
 to a constant.  Classical Wishart / normal-Wishart parameters are derived
 read-only views, never inputs.
+
+A prior is never mutated after construction, so its classical Wishart view
+is built on the first `to_wishart` / `to_normal_wishart` call and kept on
+the prior: every density evaluated against one prior reuses one S = alpha
+Sigma and its factor.  The view is lazy because most priors (each
+posterior's `as_prior` in an online update) are never evaluated.
 """
 
 from __future__ import annotations
@@ -32,14 +38,18 @@ def _check_alpha(alpha: float) -> np.float64:
 
 
 class KLWishartPrior:
-    """Known-mean precision prior with mode Sigma^{-1} and pseudocount alpha."""
+    """Known-mean precision prior with mode Sigma^{-1} and pseudocount alpha.
 
-    __slots__ = ("mode_cov", "pseudocount", "known_mean")
+    Never mutated after construction; `to_wishart` caches its view here.
+    """
+
+    __slots__ = ("mode_cov", "pseudocount", "known_mean", "_wishart")
 
     def __init__(self, mode_cov: PDMatrix, pseudocount: float, known_mean):
         self.known_mean = pdcore.finite_vector(known_mean, mode_cov.dim, "known_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
+        self._wishart = None
 
     @property
     def dim(self) -> int:
@@ -47,14 +57,19 @@ class KLWishartPrior:
 
 
 class KLNormalWishartPrior:
-    """Unknown-mean prior with mode (m, Sigma^{-1}) and pseudocount alpha."""
+    """Unknown-mean prior with mode (m, Sigma^{-1}) and pseudocount alpha.
 
-    __slots__ = ("prior_mean", "mode_cov", "pseudocount")
+    Never mutated after construction; `to_normal_wishart` caches its
+    Wishart part here.
+    """
+
+    __slots__ = ("prior_mean", "mode_cov", "pseudocount", "_wishart")
 
     def __init__(self, prior_mean, mode_cov: PDMatrix, pseudocount: float):
         self.prior_mean = pdcore.finite_vector(prior_mean, mode_cov.dim, "prior_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
+        self._wishart = None
 
     @property
     def dim(self) -> int:
@@ -63,9 +78,12 @@ class KLNormalWishartPrior:
 
 @raise_fp_errors
 def to_wishart(p: KLWishartPrior) -> WishartParams:
-    """Classical view: W with S = alpha Sigma, nu = alpha + d + 1."""
-    s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
-    return WishartParams(scale_inv=s, shape=p.pseudocount + p.dim + 1)
+    """Classical view: W with S = alpha Sigma, nu = alpha + d + 1; built on
+    the first call and the same object on every later one."""
+    if p._wishart is None:
+        s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
+        p._wishart = WishartParams(scale_inv=s, shape=p.pseudocount + p.dim + 1)
+    return p._wishart
 
 
 @raise_fp_errors
@@ -73,11 +91,13 @@ def to_normal_wishart(p: KLNormalWishartPrior):
     """Classical view: (W(S = alpha Sigma, nu = alpha + d), m, alpha).
 
     The last element scales the conditional mean precision: mu | P is
-    Gaussian with precision alpha P.
+    Gaussian with precision alpha P.  The Wishart part is built on the first
+    call and the same object on every later one.
     """
-    s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
-    wish = WishartParams(scale_inv=s, shape=p.pseudocount + p.dim)
-    return wish, p.prior_mean, p.pseudocount
+    if p._wishart is None:
+        s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
+        p._wishart = WishartParams(scale_inv=s, shape=p.pseudocount + p.dim)
+    return p._wishart, p.prior_mean, p.pseudocount
 
 
 def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:

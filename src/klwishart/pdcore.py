@@ -39,21 +39,27 @@ class PDMatrix:
     """Immutable symmetric positive-definite matrix with cached Cholesky factor.
 
     Construct via :func:`make_pd`; the constructor assumes `entries` is
-    already symmetric.
+    already symmetric.  `logdet` is computed from the factor on first access
+    and kept: densities read it many times per matrix, and an immutable
+    matrix's log-determinant never goes stale.
     """
 
-    __slots__ = ("dim", "entries", "factor")
+    __slots__ = ("dim", "entries", "factor", "_logdet")
 
     def __init__(self, entries: np.ndarray, factor: np.ndarray):
         self.dim = entries.shape[0]
         self.entries = entries
         self.factor = factor
+        self._logdet = None
         entries.setflags(write=False)
         factor.setflags(write=False)
 
     @property
     def logdet(self) -> float:
-        return 2.0 * float(np.log(np.diag(self.factor)).sum())
+        """log|A| = 2 sum_i log L[i, i]."""
+        if self._logdet is None:
+            self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
+        return self._logdet
 
     def __repr__(self) -> str:
         return f"PDMatrix(dim={self.dim}, entries={self.entries.tolist()})"

@@ -5,6 +5,13 @@ and reports a residual (or z-score) against a fixed threshold.  Checks are
 deterministic given a seed and independent of one another.  Negative
 controls (deliberately corrupted formulas) are available via flags so the
 harness itself is guarded against vacuous passes.
+
+Each derived quantity is computed once.  A trial's random precision and its
+covariance come from one set of draws (`_random_pd_pair`), not from a
+factor-and-solve inverse; loop-invariant priors are built before the loop,
+and the priors keep their own Wishart views.  The moments check inverts its
+draws with `_batch_inverse`, elementwise across blocks of draws, rather than
+one LAPACK call per small matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gaussian, inference, klpriors, pdcore, wishart
+from ._kernels import _BLOCK
 from .errors import NotPositiveDefinite
 from .gaussian import Gaussian
 from .pdcore import PDMatrix
@@ -42,12 +50,24 @@ def _report(name: str, statistic: float, threshold: float, detail: str = "") -> 
     )
 
 
+def _spectrum(d: int, rng: np.random.Generator):
+    """Random orthogonal Q and eigenvalues in [0.3, 3], in that stream order."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return q, rng.uniform(0.3, 3.0, size=d)
+
+
 def random_pd(d: int, rng: np.random.Generator) -> PDMatrix:
     """Well-conditioned random PD matrix (eigenvalues roughly in [0.3, 3])."""
-    a = rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(a)
-    eig = rng.uniform(0.3, 3.0, size=d)
+    q, eig = _spectrum(d, rng)
     return pdcore.make_pd((q * eig) @ q.T)
+
+
+def _random_pd_pair(d: int, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
+    """`random_pd(d, rng)` and its inverse Q diag(1/eig) Q', from the same
+    draws: the first is bitwise `random_pd` and the generator ends in the
+    same state."""
+    q, eig = _spectrum(d, rng)
+    return pdcore.make_pd((q * eig) @ q.T), pdcore.make_pd((q / eig) @ q.T)
 
 
 def _spread(values) -> float:
@@ -78,8 +98,7 @@ def check_proportionality(
 
     res_w, res_nw = [], []
     for _ in range(trials):
-        p = random_pd(d, rng)
-        cov = pdcore.inverse(p)
+        p, cov = _random_pd_pair(d, rng)
         log_w = klpriors.log_density_wishart_prior(prior_w, p)
         if corrupt_shape:
             wrong = wishart.WishartParams(
@@ -134,10 +153,10 @@ def check_conjugacy(
             mode_cov_post=post_nw.mode_cov_post,
         )
 
+    post_nw_prior = post_nw.as_prior()
     res_w, res_nw = [], []
     for _ in range(trials):
-        p = random_pd(d, rng)
-        cov = pdcore.inverse(p)
+        p, cov = _random_pd_pair(d, rng)
         lik_known = float(gaussian.logpdf(Gaussian(mu_known, cov), data).sum())
         res_w.append(
             wishart.wishart_log_pdf(post_w.wishart, p)
@@ -147,7 +166,7 @@ def check_conjugacy(
         mu2 = rng.standard_normal(d)
         lik = float(gaussian.logpdf(Gaussian(mu2, cov), data).sum())
         res_nw.append(
-            klpriors.log_density_nw_prior(post_nw.as_prior(), mu2, p)
+            klpriors.log_density_nw_prior(post_nw_prior, mu2, p)
             - klpriors.log_density_nw_prior(prior_nw, mu2, p)
             - lik
         )
@@ -174,7 +193,7 @@ def check_moments(
     detail = f"d={d} nu={nu} N={samples}"
     z = z_mean
     if nu > d + 1:
-        inv = np.linalg.inv(draws)
+        inv = _batch_inverse(draws)
         exact_inv = w.scale_inv.entries / (nu - d - 1)
         emp_inv = inv.mean(axis=0)
         se_inv = inv.std(axis=0, ddof=1) / np.sqrt(samples)
@@ -184,6 +203,41 @@ def check_moments(
     else:
         detail += f" z_mean={z_mean:.2f} (mean-only, nu <= d+1)"
     return _report("moments", z, 4.0, detail)
+
+
+def _batch_inverse(mats: np.ndarray) -> np.ndarray:
+    """Inverses of an (n, d, d) stack of SPD matrices by Gauss-Jordan
+    elimination without pivoting, over blocks of _BLOCK matrices.
+
+    Each entry is one length-b vector over a block of b matrices, so numpy
+    runs the arithmetic elementwise across matrices instead of calling
+    LAPACK once per small matrix.  The elimination runs in place: pivot k
+    turns column k of A into column k of A^{-1}, so each pivot updates only
+    the d live columns, those of A not yet eliminated and those of A^{-1}
+    already started.  The pivots of an SPD matrix are the leading diagonals
+    of its Schur complements, all positive, so none needs a row exchange.
+    """
+    n, d, _ = mats.shape
+    out = np.empty_like(mats)
+    size = min(n, _BLOCK)
+    work, tmp = np.empty((d, d, size)), np.empty((d, d, size))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        a, update = work[:, :, : stop - start], tmp[:, :, : stop - start]
+        a[...] = mats[start:stop].transpose(1, 2, 0)
+        for k in range(d):
+            # Row k /= A[k, k]; every other row i -= A[i, k] * row k; column k,
+            # zeroed but for a 1 at the pivot first, becomes A^{-1}'s.
+            col = a[:, k].copy()
+            piv = 1.0 / col[k]
+            col[k] = 0.0
+            a[:, k] = 0.0
+            a[k, k] = 1.0
+            a[k] *= piv
+            np.multiply(col[:, None], a[k], out=update)
+            a -= update
+        out[start:stop] = a.transpose(2, 0, 1)
+    return out
 
 
 def check_rank_deficiency(d: int, nu_int: int, rng: np.random.Generator) -> CheckReport:

@@ -25,7 +25,7 @@ LOG_PI = math.log(math.pi)
 # Draws per kernel call in `sample_wishart_batch`: a whole number of kernel
 # blocks, so every call but the last runs full blocks.  The normals of the
 # first chunk and the kernel of the last one overlap nothing, so a chunk is
-# kept short.
+# kept short; a call of at most one chunk starts no thread.
 _CHUNK = 2 * _BLOCK
 
 
@@ -134,8 +134,9 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
 
     The randoms come from `rng` in one fixed order: all n x d gammas, then
     the n x d(d-1)/2 normals row by row, so a seed gives the same samples
-    and leaves `rng` in the same state as drawing them all up front.  One
-    helper thread draws the normals in chunks of _CHUNK rows while the
+    and leaves `rng` in the same state as drawing them all up front.  The
+    calling thread draws the first _CHUNK rows of normals; when n > _CHUNK,
+    one helper thread draws the rest in chunks of _CHUNK rows while the
     kernel runs on the calling thread, chunk by chunk, under this
     function's floating-point policy.  numpy's generator releases the
     interpreter lock while it draws, so the two run side by side on at
@@ -147,9 +148,13 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
     tdiag = np.sqrt(rng.gamma(shape=(nu - np.arange(d)) / 2.0, scale=2.0, size=(n, d)))
     offd = np.empty((n, d * (d - 1) // 2))
     out = np.empty((n, d, d))
-    ready, failed = threading.Semaphore(0), []
-    helper = threading.Thread(target=_draw_normals, args=(rng, offd, ready, failed))
-    helper.start()
+    rng.standard_normal(out=offd[:_CHUNK])
+    ready, failed, helper = threading.Semaphore(1), [], None
+    if n > _CHUNK:
+        helper = threading.Thread(
+            target=_draw_normals, args=(rng, offd[_CHUNK:], ready, failed)
+        )
+        helper.start()
     try:
         for start in range(0, n, _CHUNK):
             ready.acquire()
@@ -158,7 +163,8 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
             rows = slice(start, start + _CHUNK)
             batch_bartlett(L, tdiag[rows], offd[rows], out=out[rows])
     finally:
-        helper.join()
+        if helper is not None:
+            helper.join()
     return out
 
 

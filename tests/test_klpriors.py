@@ -60,6 +60,32 @@ class TestToWishart:
             wishart.validate_shape(wish.shape, d)
 
 
+class TestViewCache:
+    # The classical view is built once per prior, on the first call, and
+    # densities through it equal those through a freshly built one bitwise.
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_same_view_and_bitwise_densities(self, d, monkeypatch):
+        rng = np.random.default_rng(d + 60)
+        sigma, mu, m, alpha = random_pd(d, rng), rng.standard_normal(d), rng.standard_normal(d), 0.7 * d
+        calls = []
+        make_pd = pdcore.make_pd
+        monkeypatch.setattr(pdcore, "make_pd", lambda raw: calls.append(1) or make_pd(raw))
+        prior_w = KLWishartPrior(sigma, alpha, mu)
+        prior_nw = KLNormalWishartPrior(m, sigma, alpha)
+        assert calls == []
+        view = klpriors.to_wishart(prior_w)
+        assert klpriors.to_wishart(prior_w) is view
+        assert klpriors.to_normal_wishart(prior_nw)[0] is klpriors.to_normal_wishart(prior_nw)[0]
+        assert len(calls) == 2
+        for _ in range(10):
+            p, point = random_pd(d, rng), rng.standard_normal(d)
+            fresh = wishart.WishartParams(make_pd(alpha * sigma.entries), alpha + d + 1)
+            assert klpriors.log_density_wishart_prior(prior_w, p) == wishart.wishart_log_pdf(fresh, p)
+            assert klpriors.log_density_nw_prior(prior_nw, point, p) == klpriors.log_density_nw_prior(
+                KLNormalWishartPrior(m, sigma, alpha), point, p
+            )
+
+
 class TestToNormalWishart:
     def test_unit_example(self):
         p = KLNormalWishartPrior(

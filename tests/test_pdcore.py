@@ -61,6 +61,15 @@ class TestMakePD:
         with pytest.raises(NotSquare):
             pdcore.make_pd(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_logdet_cached_and_bitwise_the_factor_formula(self, d):
+        rng = np.random.default_rng(d + 40)
+        for _ in range(20):
+            a = random_pd(d, rng)
+            first = a.logdet
+            assert first == 2.0 * float(np.log(np.diag(a.factor)).sum())
+            assert a.logdet is first
+
 
 def _rng(draw):
     return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from klwishart import verify
+from klwishart import pdcore, verify, wishart
 
 
 def rng(seed=0):
@@ -56,8 +56,6 @@ class TestMoments:
 
     def test_inverse_mean_factor_diagonal(self):
         # E[P]^-1 and E[P^-1] differ by the exact factor nu/(nu-d-1)
-        from klwishart import pdcore, wishart
-
         d, nu = 2, 7.0
         w = wishart.WishartParams(
             scale_inv=pdcore.make_pd(np.diag([2.0, 5.0])), shape=nu
@@ -65,6 +63,33 @@ class TestMoments:
         mean_inv = pdcore.inverse(wishart.wishart_mean(w)).entries
         inv_mean = wishart.wishart_mean_inverse(w).entries
         assert np.allclose(inv_mean, nu / (nu - d - 1) * mean_inv, rtol=1e-12)
+
+
+    def test_sampler_with_wrong_shape_detected(self, monkeypatch):
+        # Draws from nu + 1 instead of nu must fail the moment identities.
+        sample = wishart.sample_wishart_batch
+
+        def wrong_shape(w, n, rng):
+            return sample(wishart.WishartParams(w.scale_inv, w.shape + 1.0), n, rng)
+
+        monkeypatch.setattr(wishart, "sample_wishart_batch", wrong_shape)
+        rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(7))
+        assert not rep.passed
+
+
+class TestBatchInverse:
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_matches_linalg_inv(self, d, n):
+        # Block edges of _BLOCK = 4096; Wishart draws as the moments check uses.
+        w = wishart.WishartParams(verify.random_pd(d, rng(d)), shape=d + 2.5)
+        mats = wishart.sample_wishart_batch(w, n, rng(n))
+        before = mats.copy()
+        got = verify._batch_inverse(mats)
+        want = np.linalg.inv(mats)
+        err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert err.max() <= 1e-10
+        assert np.array_equal(mats, before)
 
 
 class TestRankDeficiency:
@@ -105,6 +130,19 @@ class TestMapGradient:
         assert rep.statistic > 1e-3
 
 
+class TestRandomPDPair:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_first_is_random_pd_and_product_is_identity(self, d):
+        for seed in range(10):
+            gen, same = rng(seed), rng(seed)
+            p, cov = verify._random_pd_pair(d, gen)
+            ref = verify.random_pd(d, same)
+            assert p.entries.tobytes() == ref.entries.tobytes()
+            assert p.factor.tobytes() == ref.factor.tobytes()
+            assert gen.bit_generator.state == same.bit_generator.state
+            assert np.abs(p.entries @ cov.entries - np.eye(d)).max() <= 1e-12
+
+
 class TestReports:
     def test_json_lines(self):
         rep = verify.check_rank_deficiency(d=3, nu_int=2, rng=rng(15))
@@ -127,6 +165,16 @@ class TestReports:
         reports = verify.run_suite(verify.DEFAULT_SUITE, seed=1)
         assert [r.name for r in reports] == list(verify.DEFAULT_SUITE)
         assert all(r.passed for r in reports)
+
+    def test_run_suite_passes_every_benchmark_seed(self):
+        # Seeds 0-15 are the ones the lib-online benchmark cycles through.
+        failed = [
+            (seed, r.name, r.detail)
+            for seed in range(16)
+            for r in verify.run_suite(verify.DEFAULT_SUITE, seed)
+            if not r.passed
+        ]
+        assert failed == []
 
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):

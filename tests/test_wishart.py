@@ -207,7 +207,7 @@ class TestSampling:
         L = np.linalg.cholesky(w.scale().entries)
         assert np.array_equal(draws, batch_bartlett(L, tdiag, offd))
 
-    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("n", [0, 1, 100, C - 1, C, C + 1, 3 * C + 5, 30_000])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_stream_equals_serial_draws(self, d, n):
         # The helper thread draws the normals in chunks; the samples and the
@@ -221,6 +221,21 @@ class TestSampling:
         offd = same.standard_normal((n, d * (d - 1) // 2))
         assert draws.tobytes() == batch_bartlett(w.scale().factor, tdiag, offd).tobytes()
         assert rng.standard_normal() == same.standard_normal()
+
+    def test_helper_thread_only_beyond_one_chunk(self, monkeypatch):
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(wishart.threading, "Thread", Recording)
+        w = WishartParams(scale_inv=random_pd(3, np.random.default_rng(4)), shape=4.5)
+        for n, threads in [(0, 0), (1, 0), (100, 0), (C, 0), (C + 1, 1), (3 * C + 5, 1)]:
+            started.clear()
+            wishart.sample_wishart_batch(w, n, np.random.default_rng(n))
+            assert len(started) == threads, n
 
     def test_kernel_runs_on_calling_thread_under_the_guard(self, monkeypatch):
         # Called through the module's global name, as a tracer rebinds it,
