@@ -5,15 +5,10 @@ Bartlett sampling and a numerical verification suite."""
 from ._kernels import BACKEND
 from .errors import (
     DimensionMismatch,
-    EmptyData,
     InsufficientData,
     InvalidShape,
     KLWishartError,
-    NoInteriorMode,
     NotPositiveDefinite,
-    NotSquare,
-    RaggedData,
-    ShapeTooSmall,
 )
 from .gaussian import Gaussian, entropy, expected_loglik, kl, logpdf
 from .inference import (

@@ -29,7 +29,6 @@ from .errors import (
     InvalidShape,
     KLWishartError,
     NotPositiveDefinite,
-    NotSquare,
 )
 from .gaussian import Gaussian, kl as gaussian_kl
 
@@ -44,7 +43,7 @@ _EXIT_TABLE = (
     (InsufficientData, EXIT_INSUFFICIENT, "insufficient data: "),
     (NotPositiveDefinite, EXIT_BAD_MATRIX, "not positive definite: "),
     (FloatingPointError, EXIT_BAD_MATRIX, "out of range: "),
-    ((NotSquare, DimensionMismatch, InvalidShape), EXIT_BAD_MATRIX, "invalid shape: "),
+    ((DimensionMismatch, InvalidShape), EXIT_BAD_MATRIX, "invalid shape: "),
     ((OSError, ValueError, KLWishartError), EXIT_PARSE, ""),
 )
 

@@ -1,12 +1,10 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules: one class per condition a
+caller, or the CLI's exit code, can tell apart."""
 
 
 class KLWishartError(Exception):
-    """Base class for all library errors."""
-
-
-class NotSquare(KLWishartError):
-    """Input matrix is not square."""
+    """Base class for all library errors; raised itself for a NaN or
+    infinite input value and for a pseudocount that is not positive."""
 
 
 class NotPositiveDefinite(KLWishartError):
@@ -14,28 +12,16 @@ class NotPositiveDefinite(KLWishartError):
 
 
 class DimensionMismatch(KLWishartError):
-    """Operands have incompatible dimensions."""
+    """An operand has the wrong shape: a matrix that is not square and
+    non-empty, operands of different dimensions, or observations whose rows
+    differ in length."""
 
 
 class InvalidShape(KLWishartError):
-    """Wishart shape violates nu > d - 1."""
-
-
-class ShapeTooSmall(KLWishartError):
-    """Moment requires nu > d + 1."""
-
-
-class NoInteriorMode(KLWishartError):
-    """Wishart mode requires nu > d + 1; the boundary mode is singular."""
+    """Wishart shape out of range: nu must be finite with nu > d - 1 for the
+    distribution, and nu > d + 1 for an interior mode and a finite E[P^-1]."""
 
 
 class InsufficientData(KLWishartError):
-    """Not enough data (or rank-deficient scatter) for a non-informative fit."""
-
-
-class EmptyData(KLWishartError):
-    """Data set contains no observations."""
-
-
-class RaggedData(KLWishartError):
-    """Observations have inconsistent lengths."""
+    """Too few observations: none at all, or fewer than a non-informative fit
+    needs (or a rank-deficient scatter)."""

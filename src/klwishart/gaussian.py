@@ -78,8 +78,6 @@ def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
 
     Equals -KL(p || N(mu, prec^{-1})) - entropy(p).
     """
-    if prec.dim != p.dim:
-        raise DimensionMismatch("expected_loglik: dimension mismatch")
     mu = pdcore.finite_vector(mu, p.dim, "mu")
     value = (
         p.dim * LOG_2PI

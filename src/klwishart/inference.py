@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pdcore
-from .errors import (
-    DimensionMismatch,
-    EmptyData,
-    InsufficientData,
-    KLWishartError,
-    NotPositiveDefinite,
-    RaggedData,
-)
+from .errors import DimensionMismatch, InsufficientData, KLWishartError, NotPositiveDefinite
 from .klpriors import KLNormalWishartPrior, KLWishartPrior
 from .pdcore import PDMatrix, raise_fp_errors
 from .wishart import WishartParams
@@ -44,13 +37,13 @@ class SufficientStats:
 
 def _observations(data) -> np.ndarray:
     """data as a float array in C order, so reductions over rows sum in the
-    same order for every input layout; RaggedData if rows differ in length,
-    KLWishartError if a value is NaN or infinite."""
+    same order for every input layout; DimensionMismatch if rows differ in
+    length, KLWishartError if a value is NaN or infinite."""
     try:
         x = np.asarray(data, dtype=float, order="C")
     except ValueError as exc:
         if len({np.shape(row) for row in data}) > 1:
-            raise RaggedData("observations have inconsistent lengths") from exc
+            raise DimensionMismatch("observations have inconsistent lengths") from exc
         raise
     if not np.isfinite(x).all():
         raise KLWishartError("observations must be finite")
@@ -60,10 +53,12 @@ def _observations(data) -> np.ndarray:
 @raise_fp_errors
 def suff_stats(data) -> SufficientStats:
     """Two-pass reduction of (n, d) observations: mean first, then the
-    centered scatter."""
+    centered scatter.  Raises InsufficientData for no rows, DimensionMismatch
+    for ragged rows or input that is not (n, d), and KLWishartError for a
+    NaN or infinite value."""
     x = _observations(data)
     if x.ndim > 0 and len(x) == 0:
-        raise EmptyData("need at least one observation")
+        raise InsufficientData("need at least one observation")
     if x.ndim != 2:
         raise DimensionMismatch(
             f"suff_stats: expected (n, d) observations, got shape {x.shape}"
@@ -127,18 +122,15 @@ def _scatter_about(stats: SufficientStats, mu: np.ndarray) -> np.ndarray:
 def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
     """S-bar = alpha Sigma + D'D with rows D = x_i - mu, shape n + alpha + d + 1.
 
-    Empty data is allowed: the posterior is then the prior.
+    Empty data is allowed: the posterior is then the prior.  Ragged rows, or
+    rows not of length d, raise DimensionMismatch.
     """
     d = prior.dim
-    mismatch = "posterior_known_mean: observation length vs prior"
-    try:
-        x = _observations(data)
-    except RaggedData as exc:
-        raise DimensionMismatch(mismatch) from exc
+    x = _observations(data)
     if x.shape == (0,):
         x = x.reshape(0, d)
     if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionMismatch(mismatch)
+        raise DimensionMismatch("posterior_known_mean: observation length vs prior")
     delta = x - prior.known_mean
     s_bar = prior.pseudocount * prior.mode_cov.entries + delta.T @ delta
     total = x.shape[0] + prior.pseudocount

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import pdcore
-from .errors import DimensionMismatch, KLWishartError
+from .errors import KLWishartError
 from .gaussian import LOG_2PI
 from .pdcore import PDMatrix, raise_fp_errors
 from .wishart import WishartParams, wishart_log_pdf
@@ -103,8 +103,6 @@ def to_normal_wishart(p: KLNormalWishartPrior):
 def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
     """log prior density of a precision matrix; equals
     -alpha KL(N(mu, Sigma) || N(mu, P^{-1})) up to a constant."""
-    if P.dim != p.dim:
-        raise DimensionMismatch("log_density_wishart_prior: dimension mismatch")
     return wishart_log_pdf(to_wishart(p), P)
 
 
@@ -112,8 +110,6 @@ def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
 def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     """Joint log prior density of (mu, P); equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
-    if P.dim != p.dim:
-        raise DimensionMismatch("log_density_nw_prior: dimension mismatch")
     mu = pdcore.finite_vector(mu, p.dim, "mu")
     wish, m, alpha = to_normal_wishart(p)
     d = p.dim

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, KLWishartError, NotPositiveDefinite, NotSquare
+from .errors import DimensionMismatch, KLWishartError, NotPositiveDefinite
 
 # Relative pivot threshold: L[i,i]^2 must exceed PIVOT_RTOL * max diagonal.
 PIVOT_RTOL = 1e-12
@@ -69,15 +69,15 @@ class PDMatrix:
 def make_pd(raw) -> PDMatrix:
     """Symmetrize and factor a non-empty square matrix; reject non-PD input.
 
-    Raises NotSquare for non-square or empty input and NotPositiveDefinite
-    when the Cholesky factorization fails (NaN entries included), the factor
-    is not finite (infinite entries) or any pivot falls below
-    PIVOT_RTOL * max(diag).  Entries whose symmetrization overflows, or
-    adds inf to -inf, raise FloatingPointError.
+    Raises DimensionMismatch for non-square or empty input and
+    NotPositiveDefinite when the Cholesky factorization fails (NaN entries
+    included), the factor is not finite (infinite entries) or any pivot
+    falls below PIVOT_RTOL * max(diag).  Entries whose symmetrization
+    overflows, or adds inf to -inf, raise FloatingPointError.
     """
     a = np.array(raw, dtype=float)
     if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
-        raise NotSquare(f"expected a non-empty square matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
     a += a.T
     a *= 0.5
     try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pdcore
 from ._kernels import _BLOCK, batch_bartlett
-from .errors import DimensionMismatch, InvalidShape, NoInteriorMode, ShapeTooSmall
+from .errors import DimensionMismatch, InvalidShape
 from .pdcore import PDMatrix, raise_fp_errors
 
 LOG_PI = math.log(math.pi)
@@ -105,24 +105,25 @@ def wishart_mean(w: WishartParams) -> PDMatrix:
     return pdcore.make_pd(w.shape * w.scale().entries)
 
 
+def _excess(w: WishartParams, what: str) -> np.float64:
+    """nu - d - 1, which `what` needs positive; InvalidShape otherwise."""
+    if not w.shape > w.dim + 1:
+        raise InvalidShape(f"{what} requires nu > d + 1; got nu={w.shape} with d={w.dim}")
+    return w.shape - w.dim - 1
+
+
 @raise_fp_errors
 def wishart_mean_inverse(w: WishartParams) -> PDMatrix:
-    """E[P^{-1}] = S / (nu - d - 1); requires nu > d + 1."""
-    if not w.shape > w.dim + 1:
-        raise ShapeTooSmall(
-            f"E[P^-1] requires nu > d + 1; got nu={w.shape} with d={w.dim}"
-        )
-    return pdcore.make_pd(w.scale_inv.entries / (w.shape - w.dim - 1))
+    """E[P^{-1}] = S / (nu - d - 1); InvalidShape unless nu > d + 1, where
+    the expectation is finite."""
+    return pdcore.make_pd(w.scale_inv.entries / _excess(w, "E[P^-1]"))
 
 
 @raise_fp_errors
 def wishart_mode(w: WishartParams) -> PDMatrix:
-    """Mode (nu - d - 1) V; only interior (hence valid) for nu > d + 1."""
-    if not w.shape > w.dim + 1:
-        raise NoInteriorMode(
-            f"mode requires nu > d + 1; got nu={w.shape} with d={w.dim}"
-        )
-    return pdcore.make_pd((w.shape - w.dim - 1) * w.scale().entries)
+    """Mode (nu - d - 1) V; InvalidShape unless nu > d + 1, where the mode
+    is interior (at nu = d + 1 it is the singular zero matrix)."""
+    return pdcore.make_pd(_excess(w, "mode") * w.scale().entries)
 
 
 @raise_fp_errors

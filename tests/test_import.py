@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import klwishart
 
 
@@ -51,3 +53,12 @@ def test_only_pdcore_freezes_arrays():
     for path in src.glob("*.py"):
         if path.name != "pdcore.py":
             assert "setflags(write=False)" not in path.read_text(), path.name
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_version_matches_pyproject():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == klwishart.__version__
