@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -231,16 +232,11 @@ def cmd_fit(args) -> int:
 
 
 def format_12sig(v: float) -> str:
-    """12 significant digits, plain positional notation."""
+    """12 significant digits, plain positional notation: v is rounded once,
+    by the `.11e` format, and Decimal writes those digits out in full."""
     if v == 0.0:
         return "0.000000000000"
-    text = np.format_float_positional(
-        v, precision=12, unique=False, fractional=False, trim="k"
-    )
-    # Below 1 numpy drops trailing zeros of the 12 digits; put them back
-    # from the decimal exponent of v rounded to 12 significant digits.
-    exponent = int(f"{v:.11e}".partition("e")[2])
-    return text + "0" * (11 - exponent - len(text.partition(".")[2]))
+    return format(Decimal(f"{v:.11e}"), "f")
 
 
 def cmd_kl(args) -> int:

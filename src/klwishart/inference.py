@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pdcore
 from .errors import DimensionMismatch, InsufficientData, KLWishartError, NotPositiveDefinite
-from .klpriors import KLNormalWishartPrior, KLWishartPrior
+from .klpriors import KLNormalWishartPrior, KLWishartPrior, _classical
 from .pdcore import PDMatrix, raise_fp_errors
 from .wishart import WishartParams
 
@@ -89,7 +89,8 @@ def merge_stats(a: SufficientStats, b: SufficientStats) -> SufficientStats:
 @dataclass(frozen=True)
 class PosteriorKnownMean:
     """Wishart posterior over the precision, with pseudo_total = n + alpha
-    as computed and shape pseudo_total + d + 1."""
+    as computed; the shape follows from it by the known-mean rule of
+    `klpriors._classical`."""
 
     wishart: WishartParams
     pseudo_total: np.float64
@@ -120,7 +121,8 @@ def _scatter_about(stats: SufficientStats, mu: np.ndarray) -> np.ndarray:
 
 @raise_fp_errors
 def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
-    """S-bar = alpha Sigma + D'D with rows D = x_i - mu, shape n + alpha + d + 1.
+    """S-bar = alpha Sigma + D'D with rows D = x_i - mu and pseudocount
+    n + alpha, from which `klpriors._classical` sets the shape.
 
     Empty data is allowed: the posterior is then the prior.  Ragged rows, or
     rows not of length d, raise DimensionMismatch.
@@ -134,7 +136,7 @@ def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
     delta = x - prior.known_mean
     s_bar = prior.pseudocount * prior.mode_cov.entries + delta.T @ delta
     total = x.shape[0] + prior.pseudocount
-    wish = WishartParams(scale_inv=pdcore.make_pd(s_bar), shape=total + d + 1)
+    wish = _classical(s_bar, total, known_mean=True)
     return PosteriorKnownMean(wishart=wish, pseudo_total=total)
 
 
@@ -211,8 +213,9 @@ def noninformative_posterior(stats: SufficientStats, known_mu=None):
     """Jaynes limit: exact alpha = 0 substitution into the posterior.
 
     Known mean (known_mu given): returns a PosteriorKnownMean with the
-    scatter about mu and shape n + d + 1.  Unknown mean: returns a
-    PosteriorNormalWishart with alpha* = n, m* = x-bar, Sigma* = S0-tilde / n.
+    scatter about mu and pseudocount n, shaped by `klpriors._classical`.
+    Unknown mean: returns a PosteriorNormalWishart with alpha* = n,
+    m* = x-bar, Sigma* = S0-tilde / n.
     Preconditions and errors are those of `_limit_scatter`.
 
     The limit does not depend on the prior mode Sigma that alpha scales,
@@ -225,10 +228,8 @@ def noninformative_posterior(stats: SufficientStats, known_mu=None):
             pseudocount_post=float(stats.count), mean_post=mu, mode_cov_post=cov
         )
     total = np.float64(stats.count)
-    return PosteriorKnownMean(
-        wishart=WishartParams(scale_inv=pdcore.make_pd(scatter), shape=total + stats.dim + 1),
-        pseudo_total=total,
-    )
+    wish = _classical(scatter, total, known_mean=True)
+    return PosteriorKnownMean(wishart=wish, pseudo_total=total)
 
 
 @raise_fp_errors

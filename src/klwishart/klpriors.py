@@ -5,6 +5,12 @@ its log-density is a scaled negative KL divergence between Gaussians, up
 to a constant.  Classical Wishart / normal-Wishart parameters are derived
 read-only views, never inputs.
 
+The shape follows from the pseudocount, and only `_classical` computes it:
+a scatter S built from a pseudocount t gives W(S^{-1}, nu) with
+nu = t + d + 1 for a known mean and nu = t + d for an unknown one.  The
+prior views (S = alpha Sigma, t = alpha) and the known-mean posteriors in
+`inference` (S-bar, t = n + alpha) all call it.
+
 A prior is never mutated after construction, so its classical Wishart view
 is built on the first `to_wishart` / `to_normal_wishart` call and kept on
 the prior: every density evaluated against one prior reuses one S = alpha
@@ -76,13 +82,21 @@ class KLNormalWishartPrior:
         return self.mode_cov.dim
 
 
+def _classical(scatter, count, known_mean: bool) -> WishartParams:
+    """W(S^{-1}, nu) with S = make_pd(scatter) and nu = count + d + 1 for a
+    known mean, count + d for an unknown one."""
+    s = pdcore.make_pd(scatter)
+    nu = count + s.dim
+    return WishartParams(scale_inv=s, shape=nu + 1 if known_mean else nu)
+
+
 @raise_fp_errors
 def to_wishart(p: KLWishartPrior) -> WishartParams:
     """Classical view: W with S = alpha Sigma, nu = alpha + d + 1; built on
     the first call and the same object on every later one."""
     if p._wishart is None:
-        s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
-        p._wishart = WishartParams(scale_inv=s, shape=p.pseudocount + p.dim + 1)
+        s = p.pseudocount * p.mode_cov.entries
+        p._wishart = _classical(s, p.pseudocount, known_mean=True)
     return p._wishart
 
 
@@ -95,8 +109,8 @@ def to_normal_wishart(p: KLNormalWishartPrior):
     call and the same object on every later one.
     """
     if p._wishart is None:
-        s = pdcore.make_pd(p.pseudocount * p.mode_cov.entries)
-        p._wishart = WishartParams(scale_inv=s, shape=p.pseudocount + p.dim)
+        s = p.pseudocount * p.mode_cov.entries
+        p._wishart = _classical(s, p.pseudocount, known_mean=False)
     return p._wishart, p.prior_mean, p.pseudocount
 
 

@@ -76,10 +76,9 @@ class WishartParams:
 
 @raise_fp_errors
 def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
-    """log W(P | V, nu) with V = S^{-1}."""
+    """log W(P | V, nu) with V = S^{-1}; `trace_product` rejects a P of
+    another dimension."""
     d = w.dim
-    if P.dim != d:
-        raise DimensionMismatch(f"wishart_log_pdf: dims {P.dim} vs {d}")
     nu = w.shape
     return float(
         (nu - d - 1) / 2.0 * P.logdet
@@ -173,17 +172,16 @@ def _draw_normals(
     rng: np.random.Generator, offd: np.ndarray, ready: threading.Semaphore, failed: list
 ) -> None:
     """Fill offd with standard normals, _CHUNK rows at a time in order,
-    releasing `ready` once per chunk.  An error is recorded in `failed` for
-    the caller to raise, and every remaining permit is released so the
-    caller does not wait on a chunk that will never come."""
-    chunks = range(0, len(offd), _CHUNK)
+    releasing `ready` once per chunk.  An error is recorded in `failed` and
+    one permit released: the caller tests `failed` after every acquire, so
+    it raises at the first one after the error and waits on no other."""
     try:
-        for start in chunks:
+        for start in range(0, len(offd), _CHUNK):
             rng.standard_normal(out=offd[start : start + _CHUNK])
             ready.release()
     except BaseException as exc:  # re-raised on the calling thread
         failed.append(exc)
-        ready.release(len(chunks))
+        ready.release()
 
 
 def sample_wishart(w: WishartParams, rng: np.random.Generator) -> PDMatrix:

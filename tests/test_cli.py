@@ -281,8 +281,14 @@ class TestKL:
             (0.0, 2.0, "0.0965735902800"),
             # 0.5 (1 + 3^2 - 1) = 4.5
             (3.0, 1.0, "4.50000000000"),
+            # 0.5 (1e12 - 1 - log 1e12) = 499999999985.68...: twelve digits
+            # before the point and none after, so no point is printed.
+            (0.0, 1e-12, "499999999986"),
+            # 0.5 (1e13 - 1 - log 1e13) = 4999999999984.5...: the thirteenth
+            # digit is a rounded-off zero.
+            (0.0, 1e-13, "4999999999980"),
         ],
-        ids=["below_one", "above_one"],
+        ids=["below_one", "above_one", "at_least_1e11", "at_least_1e12"],
     )
     def test_twelve_significant_digits(self, tmp_path, q_mean, q_var, expect):
         p = self.g(tmp_path, "p.json", [0.0], [[1.0]])

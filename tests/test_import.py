@@ -55,6 +55,22 @@ def test_only_pdcore_freezes_arrays():
             assert "setflags(write=False)" not in path.read_text(), path.name
 
 
+def test_inference_constructs_no_wishart_params():
+    # The shape rule nu = t + d (+ 1 for a known mean) has one owner,
+    # klpriors._classical; the posteriors ask it rather than spell it.
+    src = Path(klwishart.__file__).parent
+    assert "WishartParams(" not in (src / "inference.py").read_text()
+
+
+def test_no_negative_control_switches_in_src():
+    # Negative controls are the tests' monkeypatched mutants, not options
+    # shipped in the library.
+    src = Path(klwishart.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "corrupt_" not in text and "at_perturbed" not in text, path.name
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
 def test_version_matches_pyproject():
     import tomllib

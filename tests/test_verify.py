@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from klwishart import pdcore, verify, wishart
+from klwishart import inference, klpriors, pdcore, verify, wishart
 
 
 def rng(seed=0):
@@ -20,10 +20,14 @@ class TestProportionality:
         rep = verify.check_proportionality(d=1, alpha=1.0, trials=200, rng=rng(2))
         assert rep.passed
 
-    def test_corrupted_shape_detected(self):
-        rep = verify.check_proportionality(
-            d=3, alpha=0.7, trials=50, rng=rng(3), corrupt_shape=True
-        )
+    def test_corrupted_shape_detected(self, monkeypatch):
+        # The known-mean prior given the unknown-mean shape nu = alpha + d.
+        def wrong_shape(p):
+            s = p.pseudocount * p.mode_cov.entries
+            return klpriors._classical(s, p.pseudocount, known_mean=False)
+
+        monkeypatch.setattr(klpriors, "to_wishart", wrong_shape)
+        rep = verify.check_proportionality(d=3, alpha=0.7, trials=50, rng=rng(3))
         assert not rep.passed
 
 
@@ -37,10 +41,20 @@ class TestConjugacy:
         rep = verify.check_conjugacy(d=5, n=3, alpha=0.2, trials=50, rng=rng(5))
         assert rep.passed
 
-    def test_corrupted_mean_detected(self):
-        rep = verify.check_conjugacy(
-            d=2, n=10, alpha=1.0, trials=50, rng=rng(6), corrupt_mean=True
-        )
+    def test_corrupted_mean_detected(self, monkeypatch):
+        # The posterior mean m* replaced by the unweighted average.
+        posterior_unknown = inference.posterior_unknown
+
+        def unweighted_mean(prior, stats):
+            post = posterior_unknown(prior, stats)
+            return inference.PosteriorNormalWishart(
+                pseudocount_post=post.pseudocount_post,
+                mean_post=0.5 * (prior.prior_mean + stats.sample_mean),
+                mode_cov_post=post.mode_cov_post,
+            )
+
+        monkeypatch.setattr(inference, "posterior_unknown", unweighted_mean)
+        rep = verify.check_conjugacy(d=2, n=10, alpha=1.0, trials=50, rng=rng(6))
         assert not rep.passed
 
 
@@ -122,10 +136,9 @@ class TestMapGradient:
         rep = verify.check_map_gradient(d=3, n=30, alpha=0.5, rng=rng(13))
         assert rep.passed
 
-    def test_negative_control(self):
-        rep = verify.check_map_gradient(
-            d=2, n=20, alpha=1.0, rng=rng(14), at_perturbed=True
-        )
+    def test_negative_control(self, move_map_off):
+        move_map_off()
+        rep = verify.check_map_gradient(d=2, n=20, alpha=1.0, rng=rng(14))
         assert not rep.passed
         assert rep.statistic > 1e-3
 
