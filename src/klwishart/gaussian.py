@@ -1,9 +1,10 @@
 """Multivariate Gaussian: log-density, entropy, closed-form KL, expected
 log-likelihood.
 
-Gaussians are stored in covariance form.  Densities and KL work from the
-covariance's cached Cholesky factor (`pdcore.whiten`), so none of them forms
-an inverse.  All computation stays in the log domain.
+Gaussians are stored in covariance form.  Densities and KL apply the
+covariance's cached inverse Cholesky factor L^{-1} (`pdcore.whiten`), so
+none of them forms the inverse covariance.  All computation stays in the
+log domain.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ factorization must succeed with every pivot above a relative threshold.
 
 This is the only module that factors or solves: other modules work from
 the cached factor, through `whiten` (L^{-1} B), `solve`, `quad_form` and
-`PDMatrix.logdet`, and never form an inverse to evaluate a density.
+`PDMatrix.logdet`.  Densities apply the cached inverse factor L^{-1}
+(`PDMatrix.inverse_factor`); A^{-1} itself is formed only by `inverse`.
 
 Every mean the library keeps, and every mean `mu` a density is evaluated
 at, enters through `finite_vector`, which checks its length and finiteness
@@ -17,11 +18,15 @@ It also holds the library's one overflow policy, `raise_fp_errors`:
 arithmetic that overflows, divides by zero or turns invalid raises
 FloatingPointError.  `make_pd`, `trace_product`, `quad_form` and the public
 functions of `gaussian`, `wishart`, `klpriors` and `inference` that compute
-on caller values carry it as a decorator; `whiten` and `solve` check what
-np.linalg returns.
+on caller values carry it as a decorator.  np.linalg ignores it, so its
+results are checked for non-finite values instead: once when the inverse
+factor is cached, and by `solve` on every back-solve.  `whiten`'s product
+obeys the caller's policy and is checked too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,18 +44,19 @@ class PDMatrix:
     """Immutable symmetric positive-definite matrix with cached Cholesky factor.
 
     Construct via :func:`make_pd`; the constructor assumes `entries` is
-    already symmetric.  `logdet` is computed from the factor on first access
-    and kept: densities read it many times per matrix, and an immutable
-    matrix's log-determinant never goes stale.
+    already symmetric.  `logdet` and `inverse_factor` are computed from the
+    factor on first access and kept: densities read them many times per
+    matrix, and an immutable matrix's derived quantities never go stale.
     """
 
-    __slots__ = ("dim", "entries", "factor", "_logdet")
+    __slots__ = ("dim", "entries", "factor", "_logdet", "_inverse_factor")
 
     def __init__(self, entries: np.ndarray, factor: np.ndarray):
         self.dim = entries.shape[0]
         self.entries = entries
         self.factor = factor
         self._logdet = None
+        self._inverse_factor = None
         entries.setflags(write=False)
         factor.setflags(write=False)
 
@@ -60,6 +66,16 @@ class PDMatrix:
         if self._logdet is None:
             self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
         return self._logdet
+
+    @property
+    def inverse_factor(self) -> np.ndarray:
+        """L^{-1}, read-only: one forward solve L X = I on first access.  A
+        non-finite result raises FloatingPointError and is not kept."""
+        if self._inverse_factor is None:
+            inv = _solved(np.linalg.solve(self.factor, np.eye(self.dim)))
+            inv.setflags(write=False)
+            self._inverse_factor = inv
+        return self._inverse_factor
 
     def __repr__(self) -> str:
         return f"PDMatrix(dim={self.dim}, entries={self.entries.tolist()})"
@@ -85,13 +101,15 @@ def make_pd(raw) -> PDMatrix:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     # A factor's entries are +inf or at most sqrt(max |a|): the sum cannot
-    # overflow.
-    if not np.isfinite(factor.sum()):
+    # overflow.  The guards test Python floats: at small d a numpy reduction
+    # costs more than the arithmetic it does.
+    if not math.isfinite(factor.sum()):
         raise NotPositiveDefinite("non-finite entries in Cholesky factor")
-    pivots = factor.diagonal() ** 2
-    if pivots.min() <= PIVOT_RTOL * a.diagonal().max():
+    low = min(factor.diagonal().tolist())
+    pivot = low * low
+    if pivot <= PIVOT_RTOL * max(a.diagonal().tolist()):
         raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {pivots.min():.3e} below relative "
+            f"smallest Cholesky pivot {pivot:.3e} below relative "
             f"threshold {PIVOT_RTOL:g}"
         )
     return PDMatrix(a, factor)
@@ -104,7 +122,7 @@ def finite_vector(value, dim: int, name: str) -> np.ndarray:
     v = np.array(value, dtype=float)
     if v.shape != (dim,):
         raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({dim},)")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise KLWishartError(f"{name} must be finite")
     v.setflags(write=False)
     return v
@@ -119,9 +137,11 @@ def _solved(x: np.ndarray) -> np.ndarray:
 
 
 def whiten(a: PDMatrix, b) -> np.ndarray:
-    """L^{-1} B for A = L L': one forward solve against the cached factor,
-    so ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}."""
-    return _solved(np.linalg.solve(a.factor, np.asarray(b, dtype=float)))
+    """L^{-1} B for A = L L': the cached inverse factor applied to B, so
+    ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}.  The product obeys
+    the caller's floating-point policy, and a non-finite one raises
+    FloatingPointError under any policy."""
+    return _solved(a.inverse_factor @ np.asarray(b, dtype=float))
 
 
 def solve(a: PDMatrix, b) -> np.ndarray:

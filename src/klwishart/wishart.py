@@ -55,19 +55,32 @@ def multivariate_log_gamma(a: float, d: int) -> float:
 
 
 class WishartParams:
-    """Wishart W(V, nu) stored via the scatter-side parameter S = V^{-1}."""
+    """Wishart W(V, nu) stored via the scatter-side parameter S = V^{-1}.
 
-    __slots__ = ("scale_inv", "shape")
+    `log_normaliser` is computed on first access and kept, as `PDMatrix`
+    keeps its log-determinant: a fixed prior's densities read it many times.
+    """
+
+    __slots__ = ("scale_inv", "shape", "_log_normaliser")
 
     def __init__(self, scale_inv: PDMatrix, shape: float):
         validate_shape(shape, scale_inv.dim)
         self.scale_inv = scale_inv
         # A numpy scalar, so arithmetic on the shape obeys raise_fp_errors.
         self.shape = np.float64(shape)
+        self._log_normaliser = None
 
     @property
     def dim(self) -> int:
         return self.scale_inv.dim
+
+    @property
+    def log_normaliser(self) -> np.float64:
+        """log Z of W(S^{-1}, nu); an overflow raises FloatingPointError and
+        is not kept."""
+        if self._log_normaliser is None:
+            self._log_normaliser = _log_normaliser(self.scale_inv, self.shape)
+        return self._log_normaliser
 
     def scale(self) -> PDMatrix:
         """V = S^{-1}."""
@@ -83,10 +96,11 @@ def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
     return float(
         (nu - d - 1) / 2.0 * P.logdet
         - 0.5 * pdcore.trace_product(P, w.scale_inv)
-        - _log_normaliser(w.scale_inv, nu)
+        - w.log_normaliser
     )
 
 
+@raise_fp_errors
 def _log_normaliser(scatter: PDMatrix, nu: float) -> float:
     """log Z of W(S^{-1}, nu): (nu d / 2) log 2 + (nu/2) log|V| + log Gamma_d(nu/2),
     with log|V| = -log|S|."""
@@ -205,7 +219,7 @@ def iw_log_pdf(w: WishartParams, C: PDMatrix) -> float:
     nu = w.shape
     trace = float(np.sum(pdcore.whiten(C, w.scale_inv.factor) ** 2))
     return float(
-        -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - _log_normaliser(w.scale_inv, nu)
+        -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - w.log_normaliser
     )
 
 

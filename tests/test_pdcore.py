@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from klwishart import inference, pdcore
-from klwishart.errors import DimensionMismatch, NotPositiveDefinite
+from klwishart.errors import DimensionMismatch, KLWishartError, NotPositiveDefinite
 from klwishart.gaussian import Gaussian
 from klwishart.klpriors import KLNormalWishartPrior, KLWishartPrior
 
@@ -69,6 +69,120 @@ class TestMakePD:
             first = a.logdet
             assert first == 2.0 * float(np.log(np.diag(a.factor)).sum())
             assert a.logdet is first
+
+
+_REJECTED = {
+    "tiny_pivot": np.diag([1.0, 1e-14]),
+    "tiny_pivot_first": np.diag([1e-13, 2.0, 3.0]),
+    "near_rank_one": np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) + 1e-13 * np.eye(3),
+    "scaled_down": 1e-200 * np.diag([5.0, 4e-13]),
+}
+
+
+@pytest.mark.parametrize("raw", _REJECTED.values(), ids=_REJECTED)
+def test_rejection_reports_the_smallest_squared_pivot(raw):
+    a = 0.5 * (raw + raw.T)
+    pivot = (np.linalg.cholesky(a).diagonal() ** 2).min()
+    with pytest.raises(NotPositiveDefinite) as info:
+        pdcore.make_pd(raw)
+    assert str(info.value) == (
+        f"smallest Cholesky pivot {pivot:.3e} below relative threshold {pdcore.PIVOT_RTOL:g}"
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("position", range(3))
+def test_finite_vector_rejects_a_non_finite_entry_anywhere(bad, position):
+    v = [0.5, -1.0, 2.0]
+    v[position] = bad
+    with pytest.raises(KLWishartError, match="^v must be finite$"):
+        pdcore.finite_vector(v, 3, "v")
+
+
+def _forward_substitution_quad(factor, v):
+    """||L^{-1} v||^2 by forward substitution in long double: a reference
+    for `whiten` that shares no code with it."""
+    L = factor.astype(np.longdouble)
+    y = np.zeros(len(v), dtype=np.longdouble)
+    for i in range(len(v)):
+        y[i] = (np.longdouble(v[i]) - L[i, :i] @ y[:i]) / L[i, i]
+    return y @ y
+
+
+class TestInverseFactor:
+    def test_second_whiten_makes_no_solve(self, monkeypatch):
+        calls = []
+        linalg_solve = np.linalg.solve
+
+        def counting_solve(*args):
+            calls.append(args)
+            return linalg_solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        a = random_pd(3, np.random.default_rng(1))
+        first = pdcore.whiten(a, np.ones(3))
+        assert len(calls) == 1
+        second = pdcore.whiten(a, np.ones(3))
+        pdcore.whiten(a, np.eye(3))
+        assert len(calls) == 1
+        assert first.tobytes() == second.tobytes()
+
+    def test_cached_and_read_only(self):
+        a = random_pd(3, np.random.default_rng(2))
+        inv = a.inverse_factor
+        assert a.inverse_factor is inv
+        with pytest.raises(ValueError):
+            inv[0, 0] = 1.0
+
+    def test_non_finite_inverse_raises_and_is_not_kept(self):
+        # A = L L' for L = I - 1e5 N, N the subdiagonal shift: Cholesky
+        # recovers L exactly and every pivot ratio is 1 / (1e10 + 1), but
+        # L^{-1}[63, 0] = 1e5^63 overflows.
+        L = np.eye(64) - 1e5 * np.eye(64, k=-1)
+        a = pdcore.make_pd(L @ L.T)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError):
+                a.inverse_factor
+        assert a._inverse_factor is None
+
+    @pytest.mark.parametrize("policy", ["raise", "ignore"])
+    def test_overflowing_product_raises(self, policy):
+        a = pdcore.make_pd([[1e-300]])
+        with np.errstate(over=policy), pytest.raises(FloatingPointError):
+            pdcore.whiten(a, [1e300])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_inverse_bitwise_the_two_solves(self, d):
+        # `inverse` reads the cached L^{-1} through whiten(a, I): its bytes,
+        # and so every Wishart scale and sample, stay those of two solves.
+        rng = np.random.default_rng(d + 60)
+        for _ in range(20):
+            a = random_pd(d, rng)
+            L = a.factor
+            two_solves = pdcore.make_pd(np.linalg.solve(L.T, np.linalg.solve(L, np.eye(d))))
+            inv = pdcore.inverse(a)
+            assert inv.entries.tobytes() == two_solves.entries.tobytes()
+            assert inv.factor.tobytes() == two_solves.factor.tobytes()
+
+    def test_quadratic_form_accurate_up_to_the_pivot_threshold(self):
+        rng = np.random.default_rng(77)
+        worst, largest_cond = 0.0, 0.0
+        for d in (2, 3, 5, 10):
+            for _ in range(60):
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                k = rng.uniform(0.0, 12.5)
+                lam = 10.0 ** np.concatenate([[0.0, -k], rng.uniform(-k, 0.0, d - 2)])
+                try:
+                    a = pdcore.make_pd((q * lam) @ q.T)
+                except NotPositiveDefinite:
+                    continue
+                largest_cond = max(largest_cond, np.linalg.cond(a.entries))
+                for v in rng.standard_normal((5, d)):
+                    y = pdcore.whiten(a, v)
+                    ref = _forward_substitution_quad(a.factor, v)
+                    worst = max(worst, float(abs(y @ y - ref) / ref))
+        assert largest_cond > 1e11
+        assert worst <= 1e-12
 
 
 def _rng(draw):

@@ -82,6 +82,28 @@ class TestLogPdf:
         with pytest.raises(DimensionMismatch):
             wishart.wishart_log_pdf(w, pdcore.make_pd(np.eye(3)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_log_normaliser_cached_and_bitwise_the_formula(self, d):
+        rng = np.random.default_rng(d + 80)
+        w = WishartParams(scale_inv=random_pd(d, rng), shape=d + 1.7)
+        first = w.log_normaliser
+        assert first.tobytes() == wishart._log_normaliser(w.scale_inv, w.shape).tobytes()
+        assert w.log_normaliser is first
+
+    # lgamma: log Gamma(nu / 2) overflows; log_det: (nu / 2) log|S| does,
+    # in numpy arithmetic, so a direct read relies on the normaliser's own
+    # raise_fp_errors.
+    @pytest.mark.parametrize("scatter", [1.0, 1e300], ids=["lgamma", "log_det"])
+    def test_overflowing_log_normaliser_raises_on_every_call(self, scatter):
+        # The failure must not be cached.
+        w = WishartParams(pdcore.make_pd([[scatter]]), 1e306)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError):
+                wishart.wishart_log_pdf(w, pdcore.make_pd([[1.0]]))
+            with pytest.raises(FloatingPointError):
+                w.log_normaliser
+        assert w._log_normaliser is None
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_scaling_equivariance(self, d):
         # P ~ W(V, nu) implies A P A' ~ W(A V A', nu): change-of-variables
