@@ -15,6 +15,7 @@ reaches `main` as FloatingPointError.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,12 +72,13 @@ def read_csv(path: str) -> np.ndarray:
     lines that hold nothing but separators are skipped.  If the first such
     line does not parse as numbers it is a header and is skipped.  Every
     data row must have the same number of fields.  Fields are decimal
-    floats as numpy.loadtxt reads them; no comment syntax.  NaN and
+    floats as numpy.loadtxt reads them; no comment syntax.  The file is
+    UTF-8 and may start with a byte-order mark.  NaN and
     infinite values, including overflowing literals such as 1e400, are
     rejected with the 1-based index of the data row (header and skipped
     lines not counted).  All failures raise ValueError.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln for ln in fh.read().replace(",", " ").split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -97,12 +99,6 @@ def read_csv(path: str) -> np.ndarray:
         row = np.flatnonzero(~finite)[0] + 1
         raise ValueError(f"{path}: non-finite value in data row {row}")
     return data
-
-
-def _canonical_json(obj) -> str:
-    # Fixed key order (insertion), shortest round-trip floats: stable for
-    # golden files and byte-identical under reparse/reserialize.
-    return json.dumps(obj, indent=2)
 
 
 def _finite(text: str) -> float:
@@ -222,13 +218,16 @@ def _fit_report(args, data: np.ndarray) -> dict:
 def cmd_fit(args) -> int:
     if not (math.isfinite(args.alpha) and args.alpha >= 0):
         raise ValueError("--alpha must be a finite number >= 0")
-    text = _canonical_json(_fit_report(args, read_csv(args.data)))
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    # Insertion key order and shortest round-trip floats: stable bytes.
+    text = json.dumps(_fit_report(args, read_csv(args.data)), indent=2)
+    with _output(args.output) as out:
+        out.write(text + "\n")
     return 0
+
+
+def _output(path: str):
+    """A context manager for --output: stdout, left open, for '-'; else the file."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def format_12sig(v: float) -> str:
@@ -264,16 +263,12 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(_resolve_seed(args.seed))
     draws = wishart.sample_wishart_batch(w, args.n, rng)
     rows = draws.reshape(args.n, w.dim * w.dim)
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
-    try:
+    with _output(args.output) as out:
         # tolist() yields Python floats, whose repr is the shortest string
         # that round-trips; converting in blocks bounds the memory it holds.
         for start in range(0, args.n, _WRITE_BLOCK_ROWS):
             block = rows[start : start + _WRITE_BLOCK_ROWS].tolist()
             out.writelines(",".join(map(repr, row)) + "\n" for row in block)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -1,6 +1,10 @@
 """Conjugate posterior updates, MAP estimators, non-informative limits and
 maximum-likelihood estimators for known and unknown mean.
 
+The unknown-mean prior counts as alpha pseudo-observations with mean m and
+centered scatter alpha Sigma, which `posterior_unknown` merges with the data
+by `merge_stats`, the pairwise rule of Chan, Golub & LeVeque (1979).
+
 The non-informative (alpha = 0) path is an exact substitution into the
 posterior formulas, never a tiny-alpha evaluation.  It and the ML estimator
 share one set of preconditions (`_limit_scatter`): a finite known mean of
@@ -24,9 +28,10 @@ from .wishart import WishartParams
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """(n, sample mean, centered scatter): everything a posterior needs."""
+    """(n, sample mean, centered scatter): everything a posterior needs.  The
+    count may be a real pseudocount, as in a prior's (alpha, m, alpha Sigma)."""
 
-    count: int
+    count: float
     sample_mean: np.ndarray
     centered_scatter: np.ndarray
 
@@ -155,23 +160,16 @@ def map_known_mean_cov(post: PosteriorKnownMean) -> np.ndarray:
 def posterior_unknown(
     prior: KLNormalWishartPrior, stats: SufficientStats
 ) -> PosteriorNormalWishart:
-    """Exact conjugate update in (mode, pseudocount) form."""
-    if stats.dim != prior.dim:
-        raise DimensionMismatch("posterior_unknown: stats dim vs prior dim")
+    """Exact conjugate update in (mode, pseudocount) form: the prior's alpha
+    pseudo-observations merged with the data, then Sigma* = scatter / count.
+    A prior of another dimension raises `merge_stats`'s DimensionMismatch."""
     alpha = prior.pseudocount
-    n = stats.count
-    alpha_post = alpha + n
-    mean_post = (alpha * prior.prior_mean + n * stats.sample_mean) / alpha_post
-    delta = prior.prior_mean - stats.sample_mean
-    scaled_mode = (
-        alpha * prior.mode_cov.entries
-        + stats.centered_scatter
-        + (n * alpha / (n + alpha)) * np.outer(delta, delta)
-    )
+    pseudo = SufficientStats(alpha, prior.prior_mean, alpha * prior.mode_cov.entries)
+    merged = merge_stats(pseudo, stats)
     return PosteriorNormalWishart(
-        pseudocount_post=alpha_post,
-        mean_post=mean_post,
-        mode_cov_post=pdcore.make_pd(scaled_mode / alpha_post),
+        pseudocount_post=merged.count,
+        mean_post=merged.sample_mean,
+        mode_cov_post=pdcore.make_pd(merged.centered_scatter / merged.count),
     )
 
 

@@ -11,11 +11,14 @@ nu = t + d + 1 for a known mean and nu = t + d for an unknown one.  The
 prior views (S = alpha Sigma, t = alpha) and the known-mean posteriors in
 `inference` (S-bar, t = n + alpha) all call it.
 
+The unknown-mean prior acts as alpha pseudo-observations with mean m and
+centered scatter alpha Sigma, which `inference.merge_stats` merges with data.
+
 A prior is never mutated after construction, so its classical Wishart view
-is built on the first `to_wishart` / `to_normal_wishart` call and kept on
-the prior: every density evaluated against one prior reuses one S = alpha
-Sigma and its factor.  The view is lazy because most priors (each
-posterior's `as_prior` in an online update) are never evaluated.
+is built by `_view` on the first `to_wishart` / `to_normal_wishart` call
+and kept on the prior: every density evaluated against one prior reuses
+one S = alpha Sigma and its factor.  The view is lazy because most priors
+(each posterior's `as_prior` in an online update) are never evaluated.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from . import pdcore
-from .errors import KLWishartError
+from .errors import KLWishartError, NotPositiveDefinite
 from .gaussian import LOG_2PI
 from .pdcore import PDMatrix, raise_fp_errors
 from .wishart import WishartParams, wishart_log_pdf
@@ -90,14 +93,24 @@ def _classical(scatter, count, known_mean: bool) -> WishartParams:
     return WishartParams(scale_inv=s, shape=nu + 1 if known_mean else nu)
 
 
+def _view(p, known_mean: bool) -> WishartParams:
+    """W for S = alpha Sigma at pseudocount alpha, built once and kept on p;
+    NotPositiveDefinite naming alpha if alpha Sigma underflows."""
+    if p._wishart is None:
+        try:
+            p._wishart = _classical(p.pseudocount * p.mode_cov.entries, p.pseudocount, known_mean)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                f"alpha * Sigma is not positive definite at alpha={p.pseudocount:g}: {exc}"
+            ) from exc
+    return p._wishart
+
+
 @raise_fp_errors
 def to_wishart(p: KLWishartPrior) -> WishartParams:
     """Classical view: W with S = alpha Sigma, nu = alpha + d + 1; built on
     the first call and the same object on every later one."""
-    if p._wishart is None:
-        s = p.pseudocount * p.mode_cov.entries
-        p._wishart = _classical(s, p.pseudocount, known_mean=True)
-    return p._wishart
+    return _view(p, known_mean=True)
 
 
 @raise_fp_errors
@@ -108,10 +121,7 @@ def to_normal_wishart(p: KLNormalWishartPrior):
     Gaussian with precision alpha P.  The Wishart part is built on the first
     call and the same object on every later one.
     """
-    if p._wishart is None:
-        s = p.pseudocount * p.mode_cov.entries
-        p._wishart = _classical(s, p.pseudocount, known_mean=False)
-    return p._wishart, p.prior_mean, p.pseudocount
+    return _view(p, known_mean=False), p.prior_mean, p.pseudocount
 
 
 def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:

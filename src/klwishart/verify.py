@@ -7,13 +7,17 @@ switch that corrupts them: the negative controls that guard them against
 vacuous passes are in the tests, which monkeypatch the library function a
 check calls with a wrong formula and expect the check to fail.
 
+The checks copy no library formula: `check moments` compares the draws with
+`wishart_mean` and `wishart_mean_inverse`, and the conjugacy check's prior
+is alpha pseudo-observations merged with the data by `merge_stats`.
+
 Each derived quantity is computed once.  A trial's random precision and its
 covariance come from one random orthogonal Q and one set of eigenvalues
 (`_random_pd_pair`), not from a factor-and-solve inverse; loop-invariant
 priors are built before the loop, and the priors keep their own Wishart
-views.  The moments check inverts its
-draws with `_batch_inverse`, elementwise across blocks of draws, rather than
-one LAPACK call per small matrix.
+views.  The moments check inverts its draws with `_batch_inverse`,
+elementwise across blocks of draws, rather than one LAPACK call per small
+matrix.
 """
 
 from __future__ import annotations
@@ -76,6 +80,16 @@ def _spread(values) -> float:
     return float(max(values) - min(values))
 
 
+def _residual_spread(d: int, trials: int, rng: np.random.Generator, residuals) -> float:
+    """Larger spread over trials of the two values of residuals(mu, p, cov).
+    Each trial draws its precision pair, then its mean, in that order."""
+    values = []
+    for _ in range(trials):
+        p, cov = _random_pd_pair(d, rng)
+        values.append(residuals(rng.standard_normal(d), p, cov))
+    return max(_spread(column) for column in zip(*values))
+
+
 def check_proportionality(
     d: int, alpha: float, trials: int, rng: np.random.Generator
 ) -> CheckReport:
@@ -90,19 +104,15 @@ def check_proportionality(
     base = Gaussian(mu, sigma)
     base_nw = Gaussian(m, sigma)
 
-    res_w, res_nw = [], []
-    for _ in range(trials):
-        p, cov = _random_pd_pair(d, rng)
-        res_w.append(
+    def residuals(mu2, p, cov):
+        return (
             klpriors.log_density_wishart_prior(prior_w, p)
-            + alpha * gaussian.kl(base, Gaussian(mu, cov))
-        )
-        mu2 = rng.standard_normal(d)
-        res_nw.append(
+            + alpha * gaussian.kl(base, Gaussian(mu, cov)),
             klpriors.log_density_nw_prior(prior_nw, mu2, p)
-            + alpha * gaussian.kl(base_nw, Gaussian(mu2, cov))
+            + alpha * gaussian.kl(base_nw, Gaussian(mu2, cov)),
         )
-    stat = max(_spread(res_w), _spread(res_nw))
+
+    stat = _residual_spread(d, trials, rng, residuals)
     return _report(
         "proportionality", stat, 1e-9, f"d={d} alpha={alpha} trials={trials}"
     )
@@ -128,23 +138,18 @@ def check_conjugacy(
     )
     stats = inference.suff_stats(data)
     post_nw_prior = inference.posterior_unknown(prior_nw, stats).as_prior()
-    res_w, res_nw = [], []
-    for _ in range(trials):
-        p, cov = _random_pd_pair(d, rng)
-        lik_known = float(gaussian.logpdf(Gaussian(mu_known, cov), data).sum())
-        res_w.append(
+
+    def residuals(mu2, p, cov):
+        return (
             wishart.wishart_log_pdf(post_w.wishart, p)
             - klpriors.log_density_wishart_prior(prior_w, p)
-            - lik_known
-        )
-        mu2 = rng.standard_normal(d)
-        lik = float(gaussian.logpdf(Gaussian(mu2, cov), data).sum())
-        res_nw.append(
+            - float(gaussian.logpdf(Gaussian(mu_known, cov), data).sum()),
             klpriors.log_density_nw_prior(post_nw_prior, mu2, p)
             - klpriors.log_density_nw_prior(prior_nw, mu2, p)
-            - lik
+            - float(gaussian.logpdf(Gaussian(mu2, cov), data).sum()),
         )
-    stat = max(_spread(res_w), _spread(res_nw))
+
+    stat = _residual_spread(d, trials, rng, residuals)
     return _report(
         "conjugacy", stat, 1e-8, f"d={d} n={n} alpha={alpha} trials={trials}"
     )
@@ -153,13 +158,14 @@ def check_conjugacy(
 def check_moments(
     d: int, nu: float, samples: int, rng: np.random.Generator
 ) -> CheckReport:
-    """Empirical Bartlett-sample moments vs E[P] = nu V and, when defined,
-    E[P^-1] = S / (nu - d - 1); statistic is the max componentwise z."""
+    """Empirical Bartlett-sample moments vs `wishart.wishart_mean` (E[P] = nu V)
+    and, when defined, `wishart.wishart_mean_inverse` (E[P^-1] =
+    S / (nu - d - 1)); statistic is the max componentwise z."""
     v = random_pd(d, rng)
     w = wishart.WishartParams(scale_inv=pdcore.inverse(v), shape=nu)
     draws = wishart.sample_wishart_batch(w, samples, rng)
 
-    exact_mean = nu * w.scale().entries
+    exact_mean = wishart.wishart_mean(w).entries
     emp = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(samples)
     z_mean = float(np.max(np.abs(emp - exact_mean) / se))
@@ -168,7 +174,7 @@ def check_moments(
     z = z_mean
     if nu > d + 1:
         inv = _batch_inverse(draws)
-        exact_inv = w.scale_inv.entries / (nu - d - 1)
+        exact_inv = wishart.wishart_mean_inverse(w).entries
         emp_inv = inv.mean(axis=0)
         se_inv = inv.std(axis=0, ddof=1) / np.sqrt(samples)
         z_inv = float(np.max(np.abs(emp_inv - exact_inv) / se_inv))
@@ -244,22 +250,14 @@ def _sym_basis(d: int):
     for i in range(d):
         for j in range(i + 1):
             e = np.zeros((d, d))
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+            e[i, j] = e[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
             basis.append(e)
     return basis
 
 
-def _fd_gradient_sym(f, p0: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences along the symmetric-matrix basis."""
-    grads = []
-    for e in _sym_basis(p0.shape[0]):
-        fp = f(pdcore.make_pd(p0 + step * e))
-        fm = f(pdcore.make_pd(p0 - step * e))
-        grads.append((fp - fm) / (2.0 * step))
-    return np.asarray(grads)
+def _central_differences(f, x0: np.ndarray, directions, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences of f at x0 along each direction."""
+    return np.array([(f(x0 + step * e) - f(x0 - step * e)) / (2.0 * step) for e in directions])
 
 
 def check_map_gradient(
@@ -277,31 +275,27 @@ def check_map_gradient(
     post_w = inference.posterior_known_mean(prior_w, data)
     p_hat = inference.map_known_mean(post_w).entries
 
-    def f_known(p: PDMatrix) -> float:
-        return wishart.wishart_log_pdf(post_w.wishart, p)
+    def f_known(p: np.ndarray) -> float:
+        return wishart.wishart_log_pdf(post_w.wishart, pdcore.make_pd(p))
 
-    g_known = float(np.linalg.norm(_fd_gradient_sym(f_known, p_hat)))
+    g_known = float(np.linalg.norm(_central_differences(f_known, p_hat, _sym_basis(d))))
 
     prior_nw = klpriors.KLNormalWishartPrior(
         prior_mean=rng.standard_normal(d), mode_cov=sigma, pseudocount=alpha
     )
     post_nw = inference.posterior_unknown(prior_nw, inference.suff_stats(data))
     mu_hat, cov_hat = inference.map_unknown(post_nw)
-    p_joint = pdcore.inverse(cov_hat).entries
-
+    p_joint = pdcore.inverse(cov_hat)
     nw_prior_form = post_nw.as_prior()
-    p_joint_pd = pdcore.make_pd(p_joint)
-    step = 1e-6
-    g_mu = []
-    for e in np.eye(d):
-        fp = klpriors.log_density_nw_prior(nw_prior_form, mu_hat + step * e, p_joint_pd)
-        fm = klpriors.log_density_nw_prior(nw_prior_form, mu_hat - step * e, p_joint_pd)
-        g_mu.append((fp - fm) / (2.0 * step))
 
-    def f_joint(p: PDMatrix) -> float:
-        return klpriors.log_density_nw_prior(nw_prior_form, mu_hat, p)
+    def f_mu(mu: np.ndarray) -> float:
+        return klpriors.log_density_nw_prior(nw_prior_form, mu, p_joint)
 
-    g_p = _fd_gradient_sym(f_joint, p_joint)
+    def f_p(p: np.ndarray) -> float:
+        return klpriors.log_density_nw_prior(nw_prior_form, mu_hat, pdcore.make_pd(p))
+
+    g_mu = _central_differences(f_mu, mu_hat, np.eye(d))
+    g_p = _central_differences(f_p, p_joint.entries, _sym_basis(d))
     g_joint = float(np.linalg.norm(np.concatenate([g_mu, g_p])))
 
     stat = max(g_known, g_joint)

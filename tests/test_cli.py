@@ -64,10 +64,11 @@ class TestReadCsv:
             ("1\n2\n", [[1], [2]]),
             ("1,2,3", [[1, 2, 3]]),
             ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+            ("\ufeff1,2\n3,4\n", [[1, 2], [3, 4]]),
         ],
         ids=[
             "blank_lines", "mixed_separators", "header", "one_column", "no_newline",
-            "crlf",
+            "crlf", "bom",
         ],
     )
     def test_grammar(self, tmp_path, text, expected):

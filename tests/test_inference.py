@@ -278,6 +278,38 @@ class TestPosteriorUnknown:
             )
 
 
+class TestPosteriorUnknownIsAMerge:
+    # The prior counts as alpha pseudo-observations merged by merge_stats;
+    # the result is bitwise the closed form written out term by term.
+    @staticmethod
+    def closed_form(prior, stats):
+        alpha, n = prior.pseudocount, stats.count
+        alpha_post = alpha + n
+        mean_post = (alpha * prior.prior_mean + n * stats.sample_mean) / alpha_post
+        delta = prior.prior_mean - stats.sample_mean
+        scaled_mode = (
+            alpha * prior.mode_cov.entries
+            + stats.centered_scatter
+            + (n * alpha / (n + alpha)) * np.outer(delta, delta)
+        )
+        return alpha_post, mean_post, pdcore.make_pd(scaled_mode / alpha_post).entries
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3, 1.0, 2.5, 7.0, 1e3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_bitwise_closed_form(self, d, alpha):
+        rng = np.random.default_rng(d * 1000 + int(alpha * 10))
+        for n in (1, 2, d + 1, 17, 200):
+            prior = KLNormalWishartPrior(
+                prior_mean=rng.standard_normal(d), mode_cov=random_pd(d, rng), pseudocount=alpha
+            )
+            stats = inference.suff_stats(rng.standard_normal((n, d)) * 3.0 + 1.0)
+            post = inference.posterior_unknown(prior, stats)
+            alpha_post, mean_post, cov_post = self.closed_form(prior, stats)
+            assert post.pseudocount_post == alpha_post
+            assert post.mean_post.tobytes() == mean_post.tobytes()
+            assert post.mode_cov_post.entries.tobytes() == cov_post.tobytes()
+
+
 class TestMapUnknown:
     def test_hand_example(self):
         prior = KLNormalWishartPrior(
@@ -445,7 +477,7 @@ def test_dim_mismatch_posteriors():
     nw = KLNormalWishartPrior(
         prior_mean=np.zeros(2), mode_cov=pdcore.make_pd(np.eye(2)), pseudocount=1.0
     )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="merge_stats: dimension mismatch"):
         inference.posterior_unknown(nw, inference.suff_stats([(1.0, 2.0, 3.0)] * 4))
 
 

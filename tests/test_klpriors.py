@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from klwishart import gaussian, klpriors, pdcore, wishart
-from klwishart.errors import KLWishartError
+from klwishart.errors import KLWishartError, NotPositiveDefinite
 from klwishart.gaussian import Gaussian
 from klwishart.klpriors import KLNormalWishartPrior, KLWishartPrior
 
@@ -126,6 +126,19 @@ class TestToNormalWishart:
             noise = rng.standard_normal((2, 2)) * 0.05
             pert = pdcore.make_pd(sigma_inv.entries + noise @ noise.T + 0.01 * np.eye(2))
             assert joint_at(pert) < at_mode
+
+
+class TestUnderflowingScale:
+    # alpha Sigma = 1e-600 underflows to 0: the first density names the cause.
+    def test_known_mean(self):
+        p = KLWishartPrior(pdcore.make_pd([[1e-300]]), 1e-300, [0.0])
+        with pytest.raises(NotPositiveDefinite, match=r"alpha \* Sigma .*alpha=1e-300"):
+            klpriors.log_density_wishart_prior(p, pdcore.make_pd([[1.0]]))
+
+    def test_unknown_mean(self):
+        p = KLNormalWishartPrior([0.0], pdcore.make_pd([[1e-300]]), 1e-300)
+        with pytest.raises(NotPositiveDefinite, match=r"alpha \* Sigma .*alpha=1e-300"):
+            klpriors.log_density_nw_prior(p, [0.0], pdcore.make_pd([[1.0]]))
 
 
 class TestAlphaValidation:

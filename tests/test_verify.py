@@ -58,6 +58,19 @@ class TestConjugacy:
         assert not rep.passed
 
 
+    def test_merge_without_outer_product_detected(self, monkeypatch):
+        # posterior_unknown merges the prior's pseudo-observations with
+        # merge_stats; dropping the (n_a n_b / n) delta delta' term must show.
+        def no_outer(a, b):
+            n = a.count + b.count
+            mean = (a.count * a.sample_mean + b.count * b.sample_mean) / n
+            return inference.SufficientStats(n, mean, a.centered_scatter + b.centered_scatter)
+
+        monkeypatch.setattr(inference, "merge_stats", no_outer)
+        rep = verify.check_conjugacy(d=2, n=10, alpha=1.0, trials=50, rng=rng(6))
+        assert not rep.passed
+
+
 class TestMoments:
     def test_passes_with_inverse(self):
         rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(7))
@@ -87,6 +100,16 @@ class TestMoments:
             return sample(wishart.WishartParams(w.scale_inv, w.shape + 1.0), n, rng)
 
         monkeypatch.setattr(wishart, "sample_wishart_batch", wrong_shape)
+        rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(7))
+        assert not rep.passed
+
+
+    @pytest.mark.parametrize("name", ["wishart_mean", "wishart_mean_inverse"])
+    def test_wrong_exact_moment_detected(self, monkeypatch, name):
+        # The check takes E[P] and E[P^-1] from the library; a 5 % error in
+        # either must fail it.
+        exact = getattr(wishart, name)
+        monkeypatch.setattr(wishart, name, lambda w: pdcore.make_pd(1.05 * exact(w).entries))
         rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(7))
         assert not rep.passed
 
