@@ -46,7 +46,7 @@ _EXIT_TABLE = (
     (NotPositiveDefinite, EXIT_BAD_MATRIX, "not positive definite: "),
     (FloatingPointError, EXIT_BAD_MATRIX, "out of range: "),
     ((DimensionMismatch, InvalidShape), EXIT_BAD_MATRIX, "invalid shape: "),
-    ((OSError, ValueError, KLWishartError), EXIT_PARSE, ""),
+    ((OSError, ValueError, KLWishartError, MemoryError), EXIT_PARSE, ""),
 )
 
 _WRITE_BLOCK_ROWS = 8192
@@ -112,16 +112,17 @@ def _finite(text: str) -> float:
 def _load_json(path: str, build):
     """build(document) for the JSON file at path.  Every JSON number is read
     as a finite float; NaN, Infinity and overflowing literals are rejected.
-    A KeyError, TypeError or ValueError while decoding or building becomes
-    one ValueError naming the path; library errors and overflow get the path
-    prepended and keep their class."""
+    A KeyError, TypeError, ValueError or RecursionError (nesting too deep)
+    while decoding or building becomes one ValueError naming the path;
+    library errors and overflow get the path prepended and keep their
+    class."""
     hooks = dict(parse_float=_finite, parse_int=_finite, parse_constant=_finite)
     with open(path) as fh:
         try:
             return build(json.load(fh, **hooks))
         except KeyError as exc:
             raise ValueError(f"{path}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         except (KLWishartError, FloatingPointError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
@@ -168,7 +169,11 @@ def _fit_report(args, data: np.ndarray) -> dict:
     if args.mean_mode == "known":
         if args.known_mu is None:
             raise ValueError("--known-mu is required with --mean-mode known")
-        mu = pdcore.finite_vector([float(x) for x in args.known_mu.split(",")], d, "--known-mu")
+        try:
+            mu = [float(x) for x in args.known_mu.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--known-mu: {exc}") from None
+        mu = pdcore.finite_vector(mu, d, "--known-mu")
     elif args.known_mu is not None:
         raise ValueError("--known-mu only applies with --mean-mode known")
 

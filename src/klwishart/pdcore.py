@@ -5,10 +5,11 @@ Everything downstream (densities, posteriors, samplers) is built on
 construction.  Positive definiteness is defined operationally: the
 factorization must succeed with every pivot above a relative threshold.
 
-This is the only module that factors or solves: other modules work from
-the cached factor, through `whiten` (L^{-1} B), `solve`, `quad_form` and
-`PDMatrix.logdet`.  Densities apply the cached inverse factor L^{-1}
-(`PDMatrix.inverse_factor`); A^{-1} itself is formed only by `inverse`.
+This is the only module that factors or solves, and it does each once per
+matrix: `make_pd` factors A = L L', and `PDMatrix.inverse_factor` solves
+L X = I for L^{-1} on first use and keeps it.  Everything else is a
+product of the two: `whiten` (L^{-1} B), `solve` (L^{-T} L^{-1} B),
+`inverse`, `quad_form` and `PDMatrix.logdet`.
 
 Every mean the library keeps, and every mean `mu` a density is evaluated
 at, enters through `finite_vector`, which checks its length and finiteness
@@ -19,9 +20,9 @@ arithmetic that overflows, divides by zero or turns invalid raises
 FloatingPointError.  `make_pd`, `trace_product`, `quad_form` and the public
 functions of `gaussian`, `wishart`, `klpriors` and `inference` that compute
 on caller values carry it as a decorator.  np.linalg ignores it, so its
-results are checked for non-finite values instead: once when the inverse
-factor is cached, and by `solve` on every back-solve.  `whiten`'s product
-obeys the caller's policy and is checked too.
+one result per matrix, L^{-1}, is checked for non-finite values once, when
+it is cached.  `whiten`'s product obeys the caller's policy and is checked
+too.
 """
 
 from __future__ import annotations
@@ -144,9 +145,10 @@ def whiten(a: PDMatrix, b) -> np.ndarray:
     return _solved(a.inverse_factor @ np.asarray(b, dtype=float))
 
 
+@raise_fp_errors
 def solve(a: PDMatrix, b) -> np.ndarray:
-    """Solve A X = B: whiten (L Y = B), then back-solve L' X = Y."""
-    return _solved(np.linalg.solve(a.factor.T, whiten(a, b)))
+    """A^{-1} B = L^{-T} (L^{-1} B): the whitened B times the cached L^{-1}'."""
+    return a.inverse_factor.T @ whiten(a, b)
 
 
 def inverse(a: PDMatrix) -> PDMatrix:

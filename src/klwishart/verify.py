@@ -13,11 +13,12 @@ is alpha pseudo-observations merged with the data by `merge_stats`.
 
 Each derived quantity is computed once.  A trial's random precision and its
 covariance come from one random orthogonal Q and one set of eigenvalues
-(`_random_pd_pair`), not from a factor-and-solve inverse; loop-invariant
-priors are built before the loop, and the priors keep their own Wishart
-views.  The moments check inverts its draws with `_batch_inverse`,
-elementwise across blocks of draws, rather than one LAPACK call per small
-matrix.
+(`_random_pd_pair`), not from a factor-and-solve inverse, and the moments
+check draws its scatter S itself rather than inverting a random scale;
+loop-invariant priors are built before the loop, and the priors keep their
+own Wishart views.  The moments check inverts its draws with
+`_batch_inverse`, elementwise across blocks of draws, rather than one
+LAPACK call per small matrix.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ def _random_pd_pair(d: int, rng: np.random.Generator) -> tuple[PDMatrix, PDMatri
     return pdcore.make_pd((q * eig) @ q.T), pdcore.make_pd((q / eig) @ q.T)
 
 
-def _spread(values) -> float:
-    return float(max(values) - min(values))
-
-
 def _residual_spread(d: int, trials: int, rng: np.random.Generator, residuals) -> float:
     """Larger spread over trials of the two values of residuals(mu, p, cov).
     Each trial draws its precision pair, then its mean, in that order."""
@@ -87,7 +84,7 @@ def _residual_spread(d: int, trials: int, rng: np.random.Generator, residuals) -
     for _ in range(trials):
         p, cov = _random_pd_pair(d, rng)
         values.append(residuals(rng.standard_normal(d), p, cov))
-    return max(_spread(column) for column in zip(*values))
+    return float(np.ptp(values, axis=0).max())
 
 
 def check_proportionality(
@@ -161,8 +158,7 @@ def check_moments(
     """Empirical Bartlett-sample moments vs `wishart.wishart_mean` (E[P] = nu V)
     and, when defined, `wishart.wishart_mean_inverse` (E[P^-1] =
     S / (nu - d - 1)); statistic is the max componentwise z."""
-    v = random_pd(d, rng)
-    w = wishart.WishartParams(scale_inv=pdcore.inverse(v), shape=nu)
+    w = wishart.WishartParams(scale_inv=random_pd(d, rng), shape=nu)
     draws = wishart.sample_wishart_batch(w, samples, rng)
 
     exact_mean = wishart.wishart_mean(w).entries

@@ -40,12 +40,12 @@ def validate_shape(nu: float, d: int) -> None:
         )
 
 
+@raise_fp_errors
 def multivariate_log_gamma(a: float, d: int) -> float:
     """log Gamma_d(a) = (d(d-1)/4) log pi + sum_j log Gamma(a + (1-j)/2).
 
     Overflow raises FloatingPointError: math.lgamma's OverflowError is
-    renamed, and the terms are summed as numpy scalars under the caller's
-    raise_fp_errors.
+    renamed, and the terms are summed as numpy scalars.
     """
     try:
         terms = [math.lgamma(a + (1 - j) / 2.0) for j in range(1, d + 1)]
@@ -75,11 +75,18 @@ class WishartParams:
         return self.scale_inv.dim
 
     @property
+    @raise_fp_errors
     def log_normaliser(self) -> np.float64:
-        """log Z of W(S^{-1}, nu); an overflow raises FloatingPointError and
-        is not kept."""
+        """log Z of W(S^{-1}, nu) = (nu d / 2) log 2 + (nu/2) log|V|
+        + log Gamma_d(nu/2), with log|V| = -log|S|; an overflow raises
+        FloatingPointError and is not kept."""
         if self._log_normaliser is None:
-            self._log_normaliser = _log_normaliser(self.scale_inv, self.shape)
+            d, nu = self.dim, self.shape
+            self._log_normaliser = (
+                nu * d / 2.0 * math.log(2.0)
+                - nu / 2.0 * self.scale_inv.logdet
+                + multivariate_log_gamma(nu / 2.0, d)
+            )
         return self._log_normaliser
 
     def scale(self) -> PDMatrix:
@@ -97,18 +104,6 @@ def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
         (nu - d - 1) / 2.0 * P.logdet
         - 0.5 * pdcore.trace_product(P, w.scale_inv)
         - w.log_normaliser
-    )
-
-
-@raise_fp_errors
-def _log_normaliser(scatter: PDMatrix, nu: float) -> float:
-    """log Z of W(S^{-1}, nu): (nu d / 2) log 2 + (nu/2) log|V| + log Gamma_d(nu/2),
-    with log|V| = -log|S|."""
-    d = scatter.dim
-    return (
-        nu * d / 2.0 * math.log(2.0)
-        - nu / 2.0 * scatter.logdet
-        + multivariate_log_gamma(nu / 2.0, d)
     )
 
 

@@ -169,6 +169,15 @@ class TestFit:
         assert res.returncode == 1
         assert res.stderr == "error: --known-mu must be finite\n"
 
+    def test_known_mu_unparsable_names_the_flag(self, data_2d):
+        path, _ = data_2d
+        res = run_cli(
+            ["fit", "--data", str(path), "--mean-mode", "known",
+             "--known-mu=1,,2", "--alpha", "1"]
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: --known-mu: could not convert string to float: ''\n"
+
     def test_known_mean_alpha_star_is_n_plus_alpha(self, tmp_path):
         # n + alpha = 1 + 0.1 = 1.1 exactly; recovered from the shape it
         # was 1.0999999999999996.
@@ -500,6 +509,16 @@ _MALFORMED = {
     "sample_output_unwritable": (
         {"d.json": '{"scatter": [[1.0]], "shape": 3}'},
         ["sample", "{}/d.json", "-n", "2", "--output", "{}/no/such/dir"], {}, 1,
+    ),
+    # 8e15 bytes of randoms exceed any 48-bit address space: the allocation
+    # fails at once, and nothing is allocated.
+    "sample_n_beyond_memory": (
+        {"d.json": '{"scatter": [[1.0]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "1000000000000000"], {}, 1,
+    ),
+    "kl_mean_nested_too_deep": (
+        {"p.json": '{"mean": ' + "[" * 100_000 + "]" * 100_000 + ', "cov": [[1]]}'},
+        ["kl", "{}/p.json", "{}/p.json"], {}, 1,
     ),
     "kl_mean_nan": (
         {"p.json": '{"mean": [NaN], "cov": [[1.0]]}', "q.json": '{"mean": [0], "cov": [[1]]}'},

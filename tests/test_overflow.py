@@ -48,6 +48,9 @@ _OVERFLOW = {
     "sample_wishart_batch_chunks": lambda: wishart.sample_wishart_batch(
         WishartParams(pd(I2 * 1e-300), 1e300), 2 * wishart._CHUNK + 1, np.random.default_rng(0)
     ),
+    "multivariate_log_gamma": lambda: wishart.multivariate_log_gamma(1e305, 5),
+    # (nu/2) log|S| overflows before log Gamma(nu/2) is reached.
+    "log_normaliser": lambda: WishartParams(_one(1e300), 1e306).log_normaliser,
     # (nu - 2)/2 log|P| overflows while log Gamma(nu/2) is still finite.
     "wishart_log_pdf_shape": lambda: wishart.wishart_log_pdf(
         WishartParams(_one(1.0), 5.1e305), _one(8.9e307)

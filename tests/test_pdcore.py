@@ -151,18 +151,37 @@ class TestInverseFactor:
         with np.errstate(over=policy), pytest.raises(FloatingPointError):
             pdcore.whiten(a, [1e300])
 
+    def test_inverse_and_solve_make_no_solve_once_cached(self, monkeypatch):
+        calls = []
+        linalg_solve = np.linalg.solve
+
+        def counting_solve(*args):
+            calls.append(args)
+            return linalg_solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        a = random_pd(3, np.random.default_rng(3))
+        a.inverse_factor
+        assert len(calls) == 1
+        pdcore.inverse(a)
+        pdcore.solve(a, np.ones(3))
+        pdcore.solve(a, np.eye(3))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
     def test_inverse_bitwise_the_two_solves(self, d):
-        # `inverse` reads the cached L^{-1} through whiten(a, I): its bytes,
-        # and so every Wishart scale and sample, stay those of two solves.
+        # A^{-1} = L^{-T} L^{-1}, a product of the cached inverse factor: its
+        # bytes are every Wishart scale's and every sample's.  The copy makes
+        # numpy multiply two distinct operands, as `solve` does; an operand
+        # times its own transpose may take a symmetric rank-k route instead.
         rng = np.random.default_rng(d + 60)
         for _ in range(20):
             a = random_pd(d, rng)
-            L = a.factor
-            two_solves = pdcore.make_pd(np.linalg.solve(L.T, np.linalg.solve(L, np.eye(d))))
+            li = a.inverse_factor
+            product = pdcore.make_pd(li.T @ li.copy())
             inv = pdcore.inverse(a)
-            assert inv.entries.tobytes() == two_solves.entries.tobytes()
-            assert inv.factor.tobytes() == two_solves.factor.tobytes()
+            assert inv.entries.tobytes() == product.entries.tobytes()
+            assert inv.factor.tobytes() == product.factor.tobytes()
 
     def test_quadratic_form_accurate_up_to_the_pivot_threshold(self):
         rng = np.random.default_rng(77)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import gamma as sp_gamma, invgamma as sp_invgamma
 
 from klwishart import pdcore, wishart
-from klwishart._kernels import batch_bartlett
+from klwishart._kernels import _BLOCK, batch_bartlett
 from klwishart.errors import DimensionMismatch, InvalidShape
 from klwishart.wishart import WishartParams
 
@@ -87,7 +88,16 @@ class TestLogPdf:
         rng = np.random.default_rng(d + 80)
         w = WishartParams(scale_inv=random_pd(d, rng), shape=d + 1.7)
         first = w.log_normaliser
-        assert first.tobytes() == wishart._log_normaliser(w.scale_inv, w.shape).tobytes()
+        # log Z = (nu d / 2) log 2 - (nu/2) log|S| + (d(d-1)/4) log pi
+        #         + sum_j log Gamma(nu/2 + (1-j)/2), in numpy float64.
+        nu, a = w.shape, w.shape / 2.0
+        lgammas = sum((math.lgamma(a + (1 - j) / 2.0) for j in range(1, d + 1)), np.float64(0.0))
+        formula = (
+            nu * d / 2.0 * math.log(2.0)
+            - nu / 2.0 * w.scale_inv.logdet
+            + (d * (d - 1) / 4.0 * math.log(math.pi) + lgammas)
+        )
+        assert first.tobytes() == formula.tobytes()
         assert w.log_normaliser is first
 
     # lgamma: log Gamma(nu / 2) overflows; log_det: (nu / 2) log|S| does,
@@ -292,6 +302,22 @@ class TestSampling:
         assert not any(t.is_alive() for t in callers)
         for s in range(4):
             assert got[s] is not None and got[s].tobytes() == expected[s].tobytes(), s
+
+    def test_peak_memory_close_to_output_randoms_and_scratch(self):
+        # A call holds its (n, d, d) output, its n x d gammas and
+        # n x d(d-1)/2 normals, and the kernel's scratch: three (d, d, _BLOCK)
+        # buffers and one block of randoms transposed.
+        d, n = 10, 100_000
+        w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(8)), shape=d + 2.5)
+        randoms = n * (d + d * (d - 1) // 2) * 8
+        scratch = (3 * d * d + d + d * (d - 1) // 2) * _BLOCK * 8
+        tracemalloc.start()
+        try:
+            out = wishart.sample_wishart_batch(w, n, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * (out.nbytes + randoms + scratch), (peak, out.nbytes)
 
     @pytest.mark.parametrize("d,nu", [(1, 1.5), (2, 3.5), (3, 4.2)])
     def test_sampler_moments(self, d, nu):
