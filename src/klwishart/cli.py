@@ -19,12 +19,13 @@ import contextlib
 import json
 import math
 import os
+import platform
 import sys
 from decimal import Decimal
 
 import numpy as np
 
-from . import inference, klpriors, pdcore, verify, wishart
+from . import __version__, inference, klpriors, pdcore, verify, wishart
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -285,11 +286,22 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
+class _Version(argparse.Action):
+    """Print one JSON line of the klwishart, numpy and python versions and
+    exit 0; argparse's own version action wraps its text to the terminal."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        versions = {"klwishart": __version__, "numpy": np.__version__, "python": platform.python_version()}
+        print(json.dumps(versions))
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klwishart",
         description="Mode-and-pseudocount Wishart / normal-Wishart conjugate priors",
     )
+    parser.add_argument("--version", action=_Version, nargs=0, help="print the versions as JSON and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a posterior to CSV data")

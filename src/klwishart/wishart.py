@@ -22,11 +22,11 @@ from .pdcore import PDMatrix, raise_fp_errors
 
 LOG_PI = math.log(math.pi)
 
-# Draws per kernel call in `sample_wishart_batch`: a whole number of kernel
-# blocks, so every call but the last runs full blocks.  The normals of the
-# first chunk and the kernel of the last one overlap nothing, so a chunk is
-# kept short; a call of at most one chunk starts no thread.
-_CHUNK = 2 * _BLOCK
+# Draws per chunk of randoms in `sample_wishart_batch`: one kernel block, so
+# each kernel call runs one block on randoms already in its layout.  The
+# first chunk is drawn before any kernel runs, so a chunk is kept short; a
+# call of at most one chunk starts no thread.
+_CHUNK = _BLOCK
 
 
 def validate_shape(nu: float, d: int) -> None:
@@ -141,52 +141,71 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
     T lower triangular with T_ii^2 ~ chi-square(nu - i + 1) and standard
     normal strict lower triangle; sample = L T T' L' with L = chol(V).
 
-    The randoms come from `rng` in one fixed order: all n x d gammas, then
-    the n x d(d-1)/2 normals row by row, so a seed gives the same samples
-    and leaves `rng` in the same state as drawing them all up front.  The
-    calling thread draws the first _CHUNK rows of normals; when n > _CHUNK,
-    one helper thread draws the rest in chunks of _CHUNK rows while the
+    The randoms come from `rng` in one fixed order, chunk by chunk over
+    rows of _CHUNK draws (the last chunk may be shorter).  For a chunk of b
+    draws: b gammas of shape (nu - i + 1)/2 for i = 1, ..., d in turn, then
+    its b d(d-1)/2 normals, all b of the first entry of T's strict lower
+    triangle (row-major order) first, then all b of the next, and so on.
+    So a seed gives the same samples and leaves `rng` in the same state
+    whichever thread draws them.  The calling thread draws the first
+    chunk; when n > _CHUNK, one helper thread draws the rest while the
     kernel runs on the calling thread, chunk by chunk, under this
     function's floating-point policy.  numpy's generator releases the
     interpreter lock while it draws, so the two run side by side on at
-    most two cores.
+    most two cores.  Each chunk is drawn into C-ordered (d, b) and
+    (d(d-1)/2, b) buffers, whose transposes the kernel reads without a copy.
     """
     d = w.dim
-    nu = w.shape
+    m = d * (d - 1) // 2
     L = w.scale().factor
-    tdiag = np.sqrt(rng.gamma(shape=(nu - np.arange(d)) / 2.0, scale=2.0, size=(n, d)))
-    offd = np.empty((n, d * (d - 1) // 2))
     out = np.empty((n, d, d))
-    rng.standard_normal(out=offd[:_CHUNK])
+    gammas, normals = np.empty(n * d), np.empty(n * m)
+    starts = range(0, n, _CHUNK)
+    chunks = []
+    for start in starts:
+        stop = min(start + _CHUNK, n)
+        chunks.append((
+            gammas[start * d : stop * d].reshape(d, stop - start),
+            normals[start * m : stop * m].reshape(m, stop - start),
+        ))
+    shapes = [(w.shape - i) / 2.0 for i in range(d)]
     ready, failed, helper = threading.Semaphore(1), [], None
-    if n > _CHUNK:
-        helper = threading.Thread(
-            target=_draw_normals, args=(rng, offd[_CHUNK:], ready, failed)
-        )
+    if chunks:
+        _fill(rng, shapes, *chunks[0])
+    if len(chunks) > 1:
+        helper = threading.Thread(target=_fill_rest, args=(rng, shapes, chunks[1:], ready, failed))
         helper.start()
     try:
-        for start in range(0, n, _CHUNK):
+        for start, (g, z) in zip(starts, chunks):
             ready.acquire()
             if failed:
                 raise failed[0]
-            rows = slice(start, start + _CHUNK)
-            batch_bartlett(L, tdiag[rows], offd[rows], out=out[rows])
+            np.sqrt(np.multiply(g, 2.0, out=g), out=g)
+            batch_bartlett(L, g.T, z.T, out=out[start : start + _CHUNK])
     finally:
         if helper is not None:
             helper.join()
     return out
 
 
-def _draw_normals(
-    rng: np.random.Generator, offd: np.ndarray, ready: threading.Semaphore, failed: list
+def _fill(rng: np.random.Generator, shapes: list, gammas: np.ndarray, normals: np.ndarray) -> None:
+    """Draw one chunk's randoms in the stream order: row i of `gammas` from
+    standard_gamma(shapes[i]), row by row, then `normals`."""
+    for row, shape in zip(gammas, shapes):
+        rng.standard_gamma(shape, out=row)
+    rng.standard_normal(out=normals)
+
+
+def _fill_rest(
+    rng: np.random.Generator, shapes: list, chunks: list, ready: threading.Semaphore, failed: list
 ) -> None:
-    """Fill offd with standard normals, _CHUNK rows at a time in order,
-    releasing `ready` once per chunk.  An error is recorded in `failed` and
-    one permit released: the caller tests `failed` after every acquire, so
-    it raises at the first one after the error and waits on no other."""
+    """Fill `chunks` in order, releasing `ready` once per chunk.  An error
+    is recorded in `failed` and one permit released: the caller tests
+    `failed` after every acquire, so it raises at the first one after the
+    error and waits on no other."""
     try:
-        for start in range(0, len(offd), _CHUNK):
-            rng.standard_normal(out=offd[start : start + _CHUNK])
+        for gammas, normals in chunks:
+            _fill(rng, shapes, gammas, normals)
             ready.release()
     except BaseException as exc:  # re-raised on the calling thread
         failed.append(exc)

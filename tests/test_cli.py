@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import klwishart
 from klwishart import cli, inference, pdcore, wishart
 from klwishart.cli import main, read_csv
 
@@ -465,6 +467,20 @@ class TestCheck:
             assert res.returncode == 0, res.stderr
 
 
+def test_version_prints_one_json_line():
+    # A narrow terminal, where argparse would wrap a version text.
+    res = run_cli(["--version"], env={**os.environ, "COLUMNS": "30"})
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.count("\n") == 1 and res.stdout.endswith("\n")
+    versions = json.loads(res.stdout)
+    assert list(versions) == ["klwishart", "numpy", "python"]
+    assert versions == {
+        "klwishart": klwishart.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
 def test_main_in_process(tmp_path, capsys):
     p = tmp_path / "p.json"
     p.write_text(json.dumps({"mean": [0.0], "cov": [[1.0]]}))
@@ -510,7 +526,7 @@ _MALFORMED = {
         {"d.json": '{"scatter": [[1.0]], "shape": 3}'},
         ["sample", "{}/d.json", "-n", "2", "--output", "{}/no/such/dir"], {}, 1,
     ),
-    # 8e15 bytes of randoms exceed any 48-bit address space: the allocation
+    # 8e15 bytes of output exceed any 48-bit address space: the allocation
     # fails at once, and nothing is allocated.
     "sample_n_beyond_memory": (
         {"d.json": '{"scatter": [[1.0]], "shape": 3}'},

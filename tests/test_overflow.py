@@ -44,7 +44,7 @@ _OVERFLOW = {
         WishartParams(_one(1e-300), 1e300), 2, np.random.default_rng(0)
     ),
     # Three chunks of draws: the kernel raises on the calling thread while
-    # the helper thread may still be drawing the normals of later chunks.
+    # the helper thread may still be drawing the randoms of later chunks.
     "sample_wishart_batch_chunks": lambda: wishart.sample_wishart_batch(
         WishartParams(pd(I2 * 1e-300), 1e300), 2 * wishart._CHUNK + 1, np.random.default_rng(0)
     ),

@@ -22,6 +22,21 @@ def random_pd(d, rng, spread=1.0):
     return pdcore.make_pd(a @ a.T + d * np.eye(d))
 
 
+def serial_randoms(w, n, rng):
+    """The documented stream order, drawn here in one pass: for each chunk
+    of C draws, the d gamma columns in turn, then the chunk's normals one
+    entry of T's strict lower triangle at a time.  Returns the kernel's
+    (n, d) diagonal and (n, d(d-1)/2) off-diagonal inputs."""
+    d = w.dim
+    tdiag, offd = np.empty((n, d)), np.empty((n, d * (d - 1) // 2))
+    for start in range(0, n, C):
+        b = min(C, n - start)
+        for i in range(d):
+            tdiag[start : start + b, i] = np.sqrt(2.0 * rng.standard_gamma((w.shape - i) / 2.0, size=b))
+        offd[start : start + b] = rng.standard_normal((offd.shape[1], b)).T
+    return tdiag, offd
+
+
 def wp(v_entries, nu):
     """Construct from the scale matrix V."""
     v = pdcore.make_pd(v_entries)
@@ -226,26 +241,23 @@ class TestSampling:
         rng = np.random.default_rng(d + 80)
         w = WishartParams(scale_inv=random_pd(d, rng), shape=d + 2.5)
         draws = wishart.sample_wishart_batch(w, 500, np.random.default_rng(5))
-        same = np.random.default_rng(5)
-        tdiag = np.sqrt(
-            same.gamma(shape=(w.shape - np.arange(d)) / 2.0, scale=2.0, size=(500, d))
-        )
-        offd = same.standard_normal((500, d * (d - 1) // 2))
+        tdiag, offd = serial_randoms(w, 500, np.random.default_rng(5))
         L = np.linalg.cholesky(w.scale().entries)
         assert np.array_equal(draws, batch_bartlett(L, tdiag, offd))
 
-    @pytest.mark.parametrize("n", [0, 1, 100, C - 1, C, C + 1, 3 * C + 5, 30_000])
+    # n = 8191, 8192, 8193 and 24581 lie around the second chunk edge and
+    # past the sixth.
+    @pytest.mark.parametrize("n", [0, 1, 100, 2 * C - 1, 2 * C, 2 * C + 1, 6 * C + 5, 30_000])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_stream_equals_serial_draws(self, d, n):
-        # The helper thread draws the normals in chunks; the samples and the
-        # generator's state after the call are those of drawing every
-        # gamma, then every normal, then running the kernel once.
+        # The helper thread draws the randoms in chunks; the samples and the
+        # generator's state after the call are those of drawing the whole
+        # stream in its documented order, then running the kernel once.
         w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(d)), shape=d + 0.5)
         rng = np.random.default_rng(n + 7)
         draws = wishart.sample_wishart_batch(w, n, rng)
         same = np.random.default_rng(n + 7)
-        tdiag = np.sqrt(same.gamma(shape=(w.shape - np.arange(d)) / 2.0, scale=2.0, size=(n, d)))
-        offd = same.standard_normal((n, d * (d - 1) // 2))
+        tdiag, offd = serial_randoms(w, n, same)
         assert draws.tobytes() == batch_bartlett(w.scale().factor, tdiag, offd).tobytes()
         assert rng.standard_normal() == same.standard_normal()
 
@@ -278,6 +290,22 @@ class TestSampling:
         wishart.sample_wishart_batch(w, 2 * C + 1, np.random.default_rng(2))
         assert seen == [(threading.get_ident(), "raise")] * 3
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_kernel_reads_randoms_in_its_layout(self, d, monkeypatch):
+        # Each chunk is drawn into the layout the kernel reads: the
+        # transposes of tdiag and offd are C-contiguous, so the kernel's
+        # ascontiguousarray copies nothing.
+        seen = []
+
+        def kernel(L, tdiag, offd, **kwargs):
+            seen.append((len(tdiag), tdiag.T.flags.c_contiguous, offd.T.flags.c_contiguous))
+            return batch_bartlett(L, tdiag, offd, **kwargs)
+
+        monkeypatch.setattr(wishart, "batch_bartlett", kernel)
+        w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(6)), shape=d + 0.5)
+        wishart.sample_wishart_batch(w, 2 * C + 1, np.random.default_rng(7))
+        assert seen == [(C, True, True), (C, True, True), (1, True, True)]
+
     def test_concurrent_callers_under_short_switch_interval(self):
         # Four callers on two cores, each with its own generator and so its
         # own helper thread, with thread switches forced often.
@@ -306,11 +334,11 @@ class TestSampling:
     def test_peak_memory_close_to_output_randoms_and_scratch(self):
         # A call holds its (n, d, d) output, its n x d gammas and
         # n x d(d-1)/2 normals, and the kernel's scratch: three (d, d, _BLOCK)
-        # buffers and one block of randoms transposed.
+        # buffers.  The kernel reads the randoms in place, without a copy.
         d, n = 10, 100_000
         w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(8)), shape=d + 2.5)
         randoms = n * (d + d * (d - 1) // 2) * 8
-        scratch = (3 * d * d + d + d * (d - 1) // 2) * _BLOCK * 8
+        scratch = 3 * d * d * _BLOCK * 8
         tracemalloc.start()
         try:
             out = wishart.sample_wishart_batch(w, n, np.random.default_rng(0))
@@ -331,15 +359,15 @@ class TestSampling:
 
 
 class _FailingNormals:
-    """A generator whose second standard_normal call raises, late enough
-    that the caller is already waiting for that chunk."""
+    """A generator whose second standard_normal call, the second chunk's,
+    raises, late enough that the caller is already waiting for that chunk."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def gamma(self, **kwargs):
-        return self.rng.gamma(**kwargs)
+    def standard_gamma(self, *args, **kwargs):
+        return self.rng.standard_gamma(*args, **kwargs)
 
     def standard_normal(self, **kwargs):
         self.calls += 1
@@ -357,11 +385,11 @@ _FAILURES = {
         ),
         RuntimeError,
     ),
-    # Seed 1 keeps every draw of the first chunk finite; the first one whose
-    # square overflows is row 9945.
+    # Seed 1 keeps every draw of the first chunk finite; the one draw of the
+    # eight chunks whose entries overflow is row 20518, in the sixth.
     "kernel_overflow": (
         lambda: wishart.sample_wishart_batch(
-            WishartParams(pdcore.make_pd(np.eye(2) / 6.5e306), 3.0), 2 * C + 1, np.random.default_rng(1)
+            WishartParams(pdcore.make_pd(np.eye(2) / 7.25e306), 3.0), 8 * C, np.random.default_rng(1)
         ),
         FloatingPointError,
     ),
@@ -389,7 +417,7 @@ def test_failure_after_first_chunk_raises_and_leaves_no_thread(call, error):
 
 
 def test_overflow_case_is_finite_in_its_first_chunk():
-    w = WishartParams(pdcore.make_pd(np.eye(2) / 6.5e306), 3.0)
+    w = WishartParams(pdcore.make_pd(np.eye(2) / 7.25e306), 3.0)
     assert np.isfinite(wishart.sample_wishart_batch(w, C, np.random.default_rng(1))).all()
 
 
