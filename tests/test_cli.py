@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -437,6 +438,16 @@ class TestSample:
             ",".join(repr(float(v)) for v in draws[k].ravel()) + "\n" for k in range(n)
         )
         assert out.read_text() == expected
+
+    def test_seed_7_bytes_pinned(self, tmp_path):
+        # The reference output quoted in README and ROADMAP: these bytes
+        # change only with the sampler's documented stream.
+        scatter, shape = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]], 5.5
+        out = tmp_path / "draws.csv"
+        assert main(["sample", self.dist(tmp_path, scatter, shape), "-n", "100000",
+                     "--seed", "7", "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "6cca4bea1a4c90e06444045af41c4aef96d07e70251cf190873930ee77464fdd"
 
     def test_row_shape(self, tmp_path):
         d = self.dist(tmp_path, [[1.0, 0.0], [0.0, 1.0]], 5.0)

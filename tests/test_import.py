@@ -30,6 +30,19 @@ def test_import_loads_no_thread_pool_or_logging():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_random_or_queue():
+    # The sampler reaches np.random only when it is called, and its threads
+    # share plain threading primitives, so neither adds to start-up.
+    code = (
+        "import sys, klwishart; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'queue' or m == 'numpy.random' or m.startswith('numpy.random.')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_only_pdcore_and_verify_use_linalg():
     # Factoring and solving live in pdcore; verify keeps its reference maths.
     src = Path(klwishart.__file__).parent

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,17 +24,21 @@ def random_pd(d, rng, spread=1.0):
 
 
 def serial_randoms(w, n, rng):
-    """The documented stream order, drawn here in one pass: for each chunk
-    of C draws, the d gamma columns in turn, then the chunk's normals one
-    entry of T's strict lower triangle at a time.  Returns the kernel's
-    (n, d) diagonal and (n, d(d-1)/2) off-diagonal inputs."""
+    """The documented streams, drawn here in one pass: 4 integers from `rng`
+    seed a SeedSequence, and its k-th child, on `rng`'s bit generator type,
+    draws chunk k of C draws: the d gamma columns in turn, then the chunk's
+    normals one entry of T's strict lower triangle at a time.  Returns the
+    kernel's (n, d) diagonal and (n, d(d-1)/2) off-diagonal inputs."""
     d = w.dim
     tdiag, offd = np.empty((n, d)), np.empty((n, d * (d - 1) // 2))
-    for start in range(0, n, C):
+    starts = range(0, n, C)
+    children = np.random.SeedSequence(rng.integers(2**63, size=4).tolist()).spawn(len(starts))
+    for start, child in zip(starts, children):
+        chunk = np.random.Generator(type(rng.bit_generator)(child))
         b = min(C, n - start)
         for i in range(d):
-            tdiag[start : start + b, i] = np.sqrt(2.0 * rng.standard_gamma((w.shape - i) / 2.0, size=b))
-        offd[start : start + b] = rng.standard_normal((offd.shape[1], b)).T
+            tdiag[start : start + b, i] = np.sqrt(2.0 * chunk.standard_gamma((w.shape - i) / 2.0, size=b))
+        offd[start : start + b] = chunk.standard_normal((offd.shape[1], b)).T
     return tdiag, offd
 
 
@@ -250,16 +255,59 @@ class TestSampling:
     @pytest.mark.parametrize("n", [0, 1, 100, 2 * C - 1, 2 * C, 2 * C + 1, 6 * C + 5, 30_000])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_stream_equals_serial_draws(self, d, n):
-        # The helper thread draws the randoms in chunks; the samples and the
-        # generator's state after the call are those of drawing the whole
-        # stream in its documented order, then running the kernel once.
+        # Two threads draw the chunks; the samples are those of drawing every
+        # chunk's stream in its documented order, then running the kernel
+        # once, and the caller's generator has drawn just the 4 integers.
         w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(d)), shape=d + 0.5)
         rng = np.random.default_rng(n + 7)
         draws = wishart.sample_wishart_batch(w, n, rng)
         same = np.random.default_rng(n + 7)
         tdiag, offd = serial_randoms(w, n, same)
         assert draws.tobytes() == batch_bartlett(w.scale().factor, tdiag, offd).tobytes()
-        assert rng.standard_normal() == same.standard_normal()
+        four = np.random.default_rng(n + 7)
+        four.integers(2**63, size=4)
+        assert rng.bit_generator.state == four.bit_generator.state
+
+    @pytest.mark.parametrize("delayed", ["helper", "caller", "neither"])
+    def test_bytes_do_not_depend_on_which_thread_draws(self, delayed, monkeypatch):
+        # With the helper held back the caller draws most chunks; with the
+        # caller's draws slowed the helper does; with neither, thread
+        # switches are forced often.  The bytes are those of the serial
+        # reference every time.
+        w = WishartParams(scale_inv=random_pd(3, np.random.default_rng(9)), shape=4.5)
+        n, chunks = 6 * C + 5, 7
+        tdiag, offd = serial_randoms(w, n, np.random.default_rng(11))
+        expected = batch_bartlett(w.scale().factor, tdiag, offd)
+        caller, on_caller = threading.get_ident(), {}
+        draw, draw_rest = wishart._Draws.draw, wishart._Draws.draw_rest
+
+        def recording_draw(self, k):
+            on_caller[k] = threading.get_ident() == caller
+            if delayed == "caller" and on_caller[k] and k > 0:
+                time.sleep(0.02)
+            draw(self, k)
+
+        def held_back_rest(self):
+            if delayed == "helper":
+                time.sleep(0.2)
+            draw_rest(self)
+
+        monkeypatch.setattr(wishart._Draws, "draw", recording_draw)
+        monkeypatch.setattr(wishart._Draws, "draw_rest", held_back_rest)
+        interval = sys.getswitchinterval()
+        if delayed == "neither":
+            sys.setswitchinterval(1e-6)
+        try:
+            draws = wishart.sample_wishart_batch(w, n, np.random.default_rng(11))
+        finally:
+            sys.setswitchinterval(interval)
+        assert draws.tobytes() == expected.tobytes()
+        assert sorted(on_caller) == list(range(chunks)) and on_caller[0]
+        by_caller = sum(on_caller.values())
+        if delayed == "helper":
+            assert by_caller > chunks // 2, on_caller
+        if delayed == "caller":
+            assert by_caller <= chunks // 2, on_caller
 
     def test_helper_thread_only_beyond_one_chunk(self, monkeypatch):
         started = []
@@ -358,35 +406,31 @@ class TestSampling:
         assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * se)
 
 
-class _FailingNormals:
-    """A generator whose second standard_normal call, the second chunk's,
-    raises, late enough that the caller is already waiting for that chunk."""
+def _chunk_one_draw_fails():
+    """A call whose chunk 1 draw raises.  The caller's draw of chunk 0 is
+    slowed, so the helper claims chunk 1, and chunk 1 raises late enough
+    that the caller is already waiting for it."""
+    draw = wishart._Draws.draw
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.calls = 0
-
-    def standard_gamma(self, *args, **kwargs):
-        return self.rng.standard_gamma(*args, **kwargs)
-
-    def standard_normal(self, **kwargs):
-        self.calls += 1
-        if self.calls == 2:
+    def failing(self, k):
+        time.sleep(0.05 if k == 0 else 0.0)
+        if k == 1:
             time.sleep(0.2)
-            raise RuntimeError("normal draw failed")
-        return self.rng.standard_normal(**kwargs)
+            raise RuntimeError("chunk 1 draw failed")
+        draw(self, k)
+
+    with mock.patch.object(wishart._Draws, "draw", failing):
+        wishart.sample_wishart_batch(
+            WishartParams(pdcore.make_pd(np.eye(3)), 4.0), 3 * C, np.random.default_rng(0)
+        )
 
 
 # Failure -> (a call that fails after its first chunk, the error it raises).
 _FAILURES = {
-    "helper_draw": (
-        lambda: wishart.sample_wishart_batch(
-            WishartParams(pdcore.make_pd(np.eye(3)), 4.0), 3 * C, _FailingNormals(0)
-        ),
-        RuntimeError,
-    ),
-    # Seed 1 keeps every draw of the first chunk finite; the one draw of the
-    # eight chunks whose entries overflow is row 20518, in the sixth.
+    "helper_draw": (_chunk_one_draw_fails, RuntimeError),
+    # Seed 1 keeps every draw of the first chunk finite; the draws of the
+    # eight chunks whose entries overflow are rows 19483 and 20722, in the
+    # fifth and sixth.
     "kernel_overflow": (
         lambda: wishart.sample_wishart_batch(
             WishartParams(pdcore.make_pd(np.eye(2) / 7.25e306), 3.0), 8 * C, np.random.default_rng(1)
