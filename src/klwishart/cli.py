@@ -286,22 +286,18 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-class _Version(argparse.Action):
-    """Print one JSON line of the klwishart, numpy and python versions and
-    exit 0; argparse's own version action wraps its text to the terminal."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        versions = {"klwishart": __version__, "numpy": np.__version__, "python": platform.python_version()}
-        print(json.dumps(versions))
-        parser.exit()
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # The raw formatter leaves the one-line JSON of --version unwrapped.
     parser = argparse.ArgumentParser(
         prog="klwishart",
         description="Mode-and-pseudocount Wishart / normal-Wishart conjugate priors",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action=_Version, nargs=0, help="print the versions as JSON and exit")
+    versions = {"klwishart": __version__, "numpy": np.__version__, "python": platform.python_version()}
+    parser.add_argument(
+        "--version", action="version", version=json.dumps(versions),
+        help="print the versions as JSON and exit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a posterior to CSV data")

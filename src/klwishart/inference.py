@@ -59,8 +59,9 @@ def _observations(data) -> np.ndarray:
 def suff_stats(data) -> SufficientStats:
     """Two-pass reduction of (n, d) observations: mean first, then the
     centered scatter.  Raises InsufficientData for no rows, DimensionMismatch
-    for ragged rows or input that is not (n, d), and KLWishartError for a
-    NaN or infinite value."""
+    for ragged rows or input that is not (n, d), KLWishartError for a NaN or
+    infinite value, and numpy's ValueError, unchanged, for an entry that is
+    not a number (e.g. the string "a")."""
     x = _observations(data)
     if x.ndim > 0 and len(x) == 0:
         raise InsufficientData("need at least one observation")
@@ -130,7 +131,8 @@ def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
     n + alpha, from which `klpriors._classical` sets the shape.
 
     Empty data is allowed: the posterior is then the prior.  Ragged rows, or
-    rows not of length d, raise DimensionMismatch.
+    rows not of length d, raise DimensionMismatch; a non-numeric entry
+    raises numpy's ValueError, as in `suff_stats`.
     """
     d = prior.dim
     x = _observations(data)

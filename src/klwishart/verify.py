@@ -161,19 +161,16 @@ def check_moments(
     w = wishart.WishartParams(scale_inv=random_pd(d, rng), shape=nu)
     draws = wishart.sample_wishart_batch(w, samples, rng)
 
-    exact_mean = wishart.wishart_mean(w).entries
-    emp = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / np.sqrt(samples)
-    z_mean = float(np.max(np.abs(emp - exact_mean) / se))
+    def max_z(stack, exact):
+        emp = stack.mean(axis=0)
+        se = stack.std(axis=0, ddof=1) / np.sqrt(samples)
+        return float(np.max(np.abs(emp - exact) / se))
 
+    z_mean = max_z(draws, wishart.wishart_mean(w).entries)
     detail = f"d={d} nu={nu} N={samples}"
     z = z_mean
     if nu > d + 1:
-        inv = _batch_inverse(draws)
-        exact_inv = wishart.wishart_mean_inverse(w).entries
-        emp_inv = inv.mean(axis=0)
-        se_inv = inv.std(axis=0, ddof=1) / np.sqrt(samples)
-        z_inv = float(np.max(np.abs(emp_inv - exact_inv) / se_inv))
+        z_inv = max_z(_batch_inverse(draws), wishart.wishart_mean_inverse(w).entries)
         z = max(z, z_inv)
         detail += f" z_mean={z_mean:.2f} z_inv={z_inv:.2f}"
     else:

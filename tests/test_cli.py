@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import klwishart
-from klwishart import cli, inference, pdcore, wishart
+from klwishart import cli, inference, klpriors, pdcore, wishart
 from klwishart.cli import main, read_csv
 
 
@@ -128,6 +128,23 @@ class TestFit:
         report = json.loads(res.stdout)
         assert report["posterior"]["kl"]["alpha*"] == 101.0
         assert report["stats"]["n"] == 100
+
+    def test_mode_cov_file_as_cov_object_or_bare_matrix(self, data_2d, tmp_path):
+        path, data = data_2d
+        cov = tmp_path / "cov.json"
+        outputs = []
+        for text in ('{"cov": [[2, 0.5], [0.5, 1]]}', "[[2, 0.5], [0.5, 1]]"):
+            cov.write_text(text)
+            res = run_cli(["fit", "--data", str(path), "--alpha", "1", "--mode-cov", str(cov)])
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
+        prior = klpriors.KLNormalWishartPrior(
+            prior_mean=np.zeros(2), mode_cov=pdcore.make_pd([[2, 0.5], [0.5, 1]]), pseudocount=1.0
+        )
+        post = inference.posterior_unknown(prior, inference.suff_stats(data))
+        _, mode_cov = inference.map_unknown(post)
+        assert json.loads(outputs[0])["map"]["cov"] == mode_cov.entries.tolist()
 
     def test_alpha_zero_equals_ml(self, data_2d):
         path, data = data_2d

@@ -69,6 +69,22 @@ class TestSuffStats:
         assert np.allclose(merged.centered_scatter, full.centered_scatter, atol=1e-10)
 
 
+_IDENTITY_PRIOR = KLWishartPrior(
+    mode_cov=pdcore.make_pd(np.eye(2)), pseudocount=1.0, known_mean=np.zeros(2)
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [inference.suff_stats, lambda data: inference.posterior_known_mean(_IDENTITY_PRIOR, data)],
+    ids=["suff_stats", "posterior_known_mean"],
+)
+def test_non_numeric_entry_raises_numpys_value_error(call):
+    # Not a library error: numpy's conversion error passes through unchanged.
+    with pytest.raises(ValueError, match="^could not convert string to float: 'a'$"):
+        call([["a", "b"]])
+
+
 class TestPosteriorKnownMean:
     def test_hand_example(self):
         prior = KLWishartPrior(

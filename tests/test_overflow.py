@@ -35,6 +35,9 @@ _OVERFLOW = {
     ),
     "logpdf_point": lambda: gaussian.logpdf(Gaussian([0.0], _one(1.0)), [1e200]),
     "logpdf_rows": lambda: gaussian.logpdf(Gaussian([0.0], _one(1.0)), [[0.0], [1e200]]),
+    # The whitening itself overflows (L^-1 = 1e150), so the finite point
+    # takes the re-raise in logpdf's whiten handler.
+    "logpdf_whiten": lambda: gaussian.logpdf(Gaussian([0.0], _one(1e-300)), [1e200]),
     # The trace (1.6e308) and quadratic (8.2e307) terms are finite; their
     # sum overflows.
     "expected_loglik": lambda: gaussian.expected_loglik(

@@ -90,6 +90,15 @@ def test_rejection_reports_the_smallest_squared_pivot(raw):
     )
 
 
+@pytest.mark.parametrize(
+    "raw", [[[np.inf, 0.0], [0.0, 1.0]], [[np.inf]]], ids=["inf_in_2x2", "inf_1x1"]
+)
+def test_infinite_entry_gives_a_non_finite_factor(raw):
+    # Cholesky succeeds with an inf on the diagonal; the factor guard rejects it.
+    with pytest.raises(NotPositiveDefinite, match="^non-finite entries in Cholesky factor$"):
+        pdcore.make_pd(raw)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("position", range(3))
 def test_finite_vector_rejects_a_non_finite_entry_anywhere(bad, position):
