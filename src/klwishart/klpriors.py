@@ -124,21 +124,23 @@ def to_normal_wishart(p: KLNormalWishartPrior):
     return _view(p, known_mean=False), p.prior_mean, p.pseudocount
 
 
-def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
-    """log prior density of a precision matrix; equals
-    -alpha KL(N(mu, Sigma) || N(mu, P^{-1})) up to a constant."""
+def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float | np.ndarray:
+    """log prior density of a precision matrix, a (T,) array for a stack;
+    equals -alpha KL(N(mu, Sigma) || N(mu, P^{-1})) up to a constant."""
     return wishart_log_pdf(to_wishart(p), P)
 
 
 @raise_fp_errors
-def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
-    """Joint log prior density of (mu, P); equals
+def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float | np.ndarray:
+    """Joint log prior density of (mu, P), a (T,) array for a (T, d) stack
+    of means with a stack of T precisions; equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
-    mu = pdcore.finite_vector(mu, p.dim, "mu")
+    mu = pdcore.finite_vector(mu, p.dim, "mu", P.entries.shape[:-2])
     wish, m, alpha = to_normal_wishart(p)
     d = p.dim
     # log N(mu | m, (alpha P)^{-1}), from P's own factor.
     log_cond = -0.5 * (
         d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form(mu - m, P)
     )
-    return float(wishart_log_pdf(wish, P) + log_cond)
+    value = wishart_log_pdf(wish, P) + log_cond
+    return float(value) if P.entries.ndim == 2 else value

@@ -11,9 +11,20 @@ L X = I for L^{-1} on first use and keeps it.  Everything else is a
 product of the two: `whiten` (L^{-1} B), `solve` (L^{-T} L^{-1} B),
 `inverse`, `quad_form` and `PDMatrix.logdet`.
 
+A `PDMatrix` holds one (d, d) matrix or a stack of T of them, (T, d, d),
+from one `make_pd` call: one Cholesky call factors the whole stack, and
+`factor`, `inverse_factor` and `logdet` keep the leading axis (`logdet` is
+a (T,) array, a Python float for one matrix).  `trace_product` and
+`quad_form` return a (T,) array for a stack, with a (T, d) vector for
+`quad_form`; `whiten` is a matmul, so a stack of vectors goes in as
+(T, d, 1) and a (d,) vector or (d, k) matrix applies to every member.  A
+single matrix takes the same code it took before stacks, guards and return
+types included.
+
 Every mean the library keeps, and every mean `mu` a density is evaluated
-at, enters through `finite_vector`, which checks its length and finiteness
-and keeps a read-only copy, so a caller's array is never frozen or shared.
+at, enters through `finite_vector`, which checks its shape and finiteness
+and keeps a read-only copy, so a caller's array is never frozen or shared;
+a (T, d) mean goes with a (T, d, d) matrix.
 
 It also holds the library's one overflow policy, `raise_fp_errors`:
 arithmetic that overflows, divides by zero or turns invalid raises
@@ -45,15 +56,17 @@ class PDMatrix:
     """Immutable symmetric positive-definite matrix with cached Cholesky factor.
 
     Construct via :func:`make_pd`; the constructor assumes `entries` is
-    already symmetric.  `logdet` and `inverse_factor` are computed from the
-    factor on first access and kept: densities read them many times per
-    matrix, and an immutable matrix's derived quantities never go stale.
+    already symmetric.  `entries` is (d, d), or (T, d, d) for a stack of T
+    matrices, and `factor` has its shape.  `logdet` and `inverse_factor`
+    are computed from the factor on first access and kept: densities read
+    them many times per matrix, and an immutable matrix's derived quantities
+    never go stale.
     """
 
     __slots__ = ("dim", "entries", "factor", "_logdet", "_inverse_factor")
 
     def __init__(self, entries: np.ndarray, factor: np.ndarray):
-        self.dim = entries.shape[0]
+        self.dim = entries.shape[-1]
         self.entries = entries
         self.factor = factor
         self._logdet = None
@@ -62,18 +75,31 @@ class PDMatrix:
         factor.setflags(write=False)
 
     @property
-    def logdet(self) -> float:
-        """log|A| = 2 sum_i log L[i, i]."""
+    def logdet(self) -> float | np.ndarray:
+        """log|A| = 2 sum_i log L[i, i]: a float, or a read-only (T,) array
+        for a stack."""
         if self._logdet is None:
-            self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
+            if self.factor.ndim == 2:
+                self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
+            else:
+                diag = np.diagonal(self.factor, axis1=1, axis2=2)
+                self._logdet = 2.0 * np.log(diag).sum(axis=1)
+                self._logdet.setflags(write=False)
         return self._logdet
 
     @property
     def inverse_factor(self) -> np.ndarray:
-        """L^{-1}, read-only: one forward solve L X = I on first access.  A
-        non-finite result raises FloatingPointError and is not kept."""
+        """L^{-1}, read-only: one forward solve L X = I on first access, of
+        the whole stack for a stack.  A non-finite result raises
+        FloatingPointError and is not kept."""
         if self._inverse_factor is None:
-            inv = _solved(np.linalg.solve(self.factor, np.eye(self.dim)))
+            eye = np.eye(self.dim)
+            if self.factor.ndim == 3:
+                # numpy < 2 reads a (d, d) right-hand side against a stack as
+                # a stack of vectors; one identity per member is read alike
+                # by every numpy.  A single matrix skips the view's cost.
+                eye = np.broadcast_to(eye, self.factor.shape)
+            inv = _solved(np.linalg.solve(self.factor, eye))
             inv.setflags(write=False)
             self._inverse_factor = inv
         return self._inverse_factor
@@ -84,17 +110,24 @@ class PDMatrix:
 
 @raise_fp_errors
 def make_pd(raw) -> PDMatrix:
-    """Symmetrize and factor a non-empty square matrix; reject non-PD input.
+    """Symmetrize and factor a non-empty square matrix, or a non-empty
+    (T, d, d) stack of them; reject non-PD input.
 
     Raises DimensionMismatch for non-square or empty input and
-    NotPositiveDefinite when the Cholesky factorization fails (NaN entries
-    included), the factor is not finite (infinite entries) or any pivot
-    falls below PIVOT_RTOL * max(diag).  Entries whose symmetrization
-    overflows, or adds inf to -inf, raise FloatingPointError.
+    NotPositiveDefinite when the Cholesky factorization fails, the factor
+    is not finite (NaN or infinite entries) or any pivot falls below
+    PIVOT_RTOL * max(diag).  Entries whose symmetrization overflows, or
+    adds inf to -inf, raise FloatingPointError.  A stack is rejected by the
+    same rules, member by member; the message names the first failing
+    member's index.
     """
     a = np.array(raw, dtype=float)
+    if a.ndim == 3 and len(a):
+        return _make_pd_stack(a)
     if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
-        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
+        raise DimensionMismatch(
+            f"expected a non-empty square matrix or (T, d, d) stack, got shape {a.shape}"
+        )
     a += a.T
     a *= 0.5
     try:
@@ -116,14 +149,51 @@ def make_pd(raw) -> PDMatrix:
     return PDMatrix(a, factor)
 
 
-def finite_vector(value, dim: int, name: str) -> np.ndarray:
-    """value as a new read-only float vector of shape (dim,) with finite
-    entries: DimensionMismatch for another shape, KLWishartError for a NaN
-    or infinity."""
+def _make_pd_stack(a: np.ndarray) -> PDMatrix:
+    """`make_pd` of a non-empty (T, d, d) stack, in place: the same steps
+    and guards, the guards as reductions over the leading axis.  Each
+    message names the first failing member."""
+    if not 0 < a.shape[1] == a.shape[2]:
+        raise DimensionMismatch(
+            f"expected a non-empty square matrix or (T, d, d) stack, got shape {a.shape}"
+        )
+    a += a.swapaxes(1, 2)
+    a *= 0.5
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        # A stacked Cholesky does not say which member failed.
+        for i, member in enumerate(a):
+            try:
+                np.linalg.cholesky(member)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(f"{exc} (stack index {i})") from exc
+        raise
+    finite = np.isfinite(factor).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NotPositiveDefinite(f"non-finite entries in Cholesky factor (stack index {i})")
+    low = np.diagonal(factor, axis1=1, axis2=2).min(axis=1)
+    pivot = low * low
+    rejected = pivot <= PIVOT_RTOL * np.diagonal(a, axis1=1, axis2=2).max(axis=1)
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        raise NotPositiveDefinite(
+            f"smallest Cholesky pivot {pivot[i]:.3e} below relative "
+            f"threshold {PIVOT_RTOL:g} (stack index {i})"
+        )
+    return PDMatrix(a, factor)
+
+
+def finite_vector(value, dim: int, name: str, stack: tuple = ()) -> np.ndarray:
+    """value as a new read-only float array of shape stack + (dim,) with
+    finite entries: DimensionMismatch for another shape, KLWishartError for
+    a NaN or infinity.  `stack` is a matrix stack's leading shape, (T,) for
+    the means that go with a (T, d, d) matrix."""
     v = np.array(value, dtype=float)
-    if v.shape != (dim,):
-        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({dim},)")
-    if not all(map(math.isfinite, v.tolist())):
+    if v.shape != stack + (dim,):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected {stack + (dim,)}")
+    if not (np.isfinite(v).all() if stack else all(map(math.isfinite, v.tolist()))):
         raise KLWishartError(f"{name} must be finite")
     v.setflags(write=False)
     return v
@@ -139,16 +209,19 @@ def _solved(x: np.ndarray) -> np.ndarray:
 
 def whiten(a: PDMatrix, b) -> np.ndarray:
     """L^{-1} B for A = L L': the cached inverse factor applied to B, so
-    ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}.  The product obeys
-    the caller's floating-point policy, and a non-finite one raises
-    FloatingPointError under any policy."""
+    ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}.  The product is a
+    matmul, so stacks broadcast as np.matmul's do: a (d,) vector or (d, k)
+    matrix B applies to each member of a stacked A, a (T, d, k) B pairs
+    member by member, and a stack of vectors goes in as (T, d, 1).  The
+    product obeys the caller's floating-point policy, and a non-finite one
+    raises FloatingPointError under any policy."""
     return _solved(a.inverse_factor @ np.asarray(b, dtype=float))
 
 
 @raise_fp_errors
 def solve(a: PDMatrix, b) -> np.ndarray:
     """A^{-1} B = L^{-T} (L^{-1} B): the whitened B times the cached L^{-1}'."""
-    return a.inverse_factor.T @ whiten(a, b)
+    return a.inverse_factor.swapaxes(-1, -2) @ whiten(a, b)
 
 
 def inverse(a: PDMatrix) -> PDMatrix:
@@ -157,20 +230,28 @@ def inverse(a: PDMatrix) -> PDMatrix:
 
 
 @raise_fp_errors
-def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64:
+def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64 | np.ndarray:
     """tr(A B) without forming the product matrix.  Like `quad_form` it
     returns a numpy scalar, so a caller's arithmetic on it obeys
-    raise_fp_errors."""
+    raise_fp_errors; a (T,) array when either matrix is a stack."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"trace_product: {a.dim} vs {b.dim}")
-    return np.sum(a.entries * b.entries)
+    product = a.entries * b.entries
+    if product.ndim == 2:
+        return np.sum(product)
+    # Each member's d * d entries summed as one row, in the single sum's order.
+    return product.reshape(len(product), -1).sum(axis=1)
 
 
 @raise_fp_errors
-def quad_form(v, a: PDMatrix) -> np.float64:
-    """v' A v; nonnegative, zero only at v = 0."""
+def quad_form(v, a: PDMatrix) -> np.float64 | np.ndarray:
+    """v' A v; nonnegative, zero only at v = 0.  A stacked A takes a (T, d)
+    stack of vectors and returns a (T,) array."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
+    if v.shape != a.entries.shape[:-1]:
         raise DimensionMismatch(f"quad_form: vector {v.shape} vs dim {a.dim}")
-    w = a.factor.T @ v
-    return w @ w
+    if v.ndim == 1:
+        w = a.factor.T @ v
+        return w @ w
+    w = a.factor.swapaxes(1, 2) @ v[:, :, None]
+    return np.sum(w * w, axis=(1, 2))

@@ -13,11 +13,14 @@ is alpha pseudo-observations merged with the data by `merge_stats`.
 
 Each derived quantity is computed once.  A trial's random precision and its
 covariance come from one random orthogonal Q and one set of eigenvalues
-(`_random_pd_pair`), not from a factor-and-solve inverse, and the moments
+(`_random_trials`), not from a factor-and-solve inverse, and the moments
 check draws its scatter S itself rather than inverting a random scale;
-loop-invariant priors are built before the loop, and the priors keep their
-own Wishart views.  The moments check inverts its draws with
-`_batch_inverse`, elementwise across blocks of draws, rather than one
+the priors are built once per check and keep their own Wishart views.
+The proportionality and conjugacy checks draw their trials one by one, in
+a fixed stream order, then evaluate every trial at once: one `qr` and one
+`make_pd` per stack, and one call of each library density on the (T, d, d)
+stack of precisions or covariances.  The moments check inverts its draws
+with `_batch_inverse`, elementwise across blocks of draws, rather than one
 LAPACK call per small matrix.
 """
 
@@ -57,34 +60,35 @@ def _report(name: str, statistic: float, threshold: float, detail: str = "") -> 
     )
 
 
-def _spectrum(d: int, rng: np.random.Generator):
-    """Random orthogonal Q and eigenvalues in [0.3, 3], in that stream order."""
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    return q, rng.uniform(0.3, 3.0, size=d)
-
-
 def random_pd(d: int, rng: np.random.Generator) -> PDMatrix:
-    """Well-conditioned random PD matrix (eigenvalues roughly in [0.3, 3])."""
-    q, eig = _spectrum(d, rng)
-    return pdcore.make_pd((q * eig) @ q.T)
+    """Well-conditioned random PD matrix Q diag(eig) Q' with Q random
+    orthogonal and eigenvalues in [0.3, 3], drawn in that stream order."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return pdcore.make_pd((q * rng.uniform(0.3, 3.0, size=d)) @ q.T)
 
 
-def _random_pd_pair(d: int, rng: np.random.Generator) -> tuple[PDMatrix, PDMatrix]:
-    """`random_pd(d, rng)` and its inverse Q diag(1/eig) Q', from the same
-    draws: the first is bitwise `random_pd` and the generator ends in the
-    same state."""
-    q, eig = _spectrum(d, rng)
-    return pdcore.make_pd((q * eig) @ q.T), pdcore.make_pd((q / eig) @ q.T)
+def _random_trials(
+    d: int, trials: int, rng: np.random.Generator
+) -> tuple[PDMatrix, PDMatrix, np.ndarray]:
+    """T = trials random precisions P = Q diag(eig) Q' and their covariances
+    Q diag(1/eig) Q', each as one stacked PDMatrix, and a (T, d) stack of
+    means.  Trial k draws Q's normals, its eigenvalues and its mean, in
+    that order, so member k of P is bitwise the k-th `random_pd(d, rng)` of
+    a loop that draws `rng.standard_normal(d)` after each, and the
+    generator ends in that loop's state."""
+    normals, eig, mean = np.empty((trials, d, d)), np.empty((trials, 1, d)), np.empty((trials, d))
+    for k in range(trials):
+        normals[k] = rng.standard_normal((d, d))
+        eig[k] = rng.uniform(0.3, 3.0, size=d)
+        mean[k] = rng.standard_normal(d)
+    q, _ = np.linalg.qr(normals)
+    qt = q.swapaxes(1, 2)
+    return pdcore.make_pd((q * eig) @ qt), pdcore.make_pd((q / eig) @ qt), mean
 
 
-def _residual_spread(d: int, trials: int, rng: np.random.Generator, residuals) -> float:
-    """Larger spread over trials of the two values of residuals(mu, p, cov).
-    Each trial draws its precision pair, then its mean, in that order."""
-    values = []
-    for _ in range(trials):
-        p, cov = _random_pd_pair(d, rng)
-        values.append(residuals(rng.standard_normal(d), p, cov))
-    return float(np.ptp(values, axis=0).max())
+def _spread(*residuals: np.ndarray) -> float:
+    """Largest spread over the trials of any one (T,) residual."""
+    return float(np.ptp(residuals, axis=1).max())
 
 
 def check_proportionality(
@@ -98,18 +102,13 @@ def check_proportionality(
     prior_nw = klpriors.KLNormalWishartPrior(
         prior_mean=m, mode_cov=sigma, pseudocount=alpha
     )
-    base = Gaussian(mu, sigma)
-    base_nw = Gaussian(m, sigma)
-
-    def residuals(mu2, p, cov):
-        return (
-            klpriors.log_density_wishart_prior(prior_w, p)
-            + alpha * gaussian.kl(base, Gaussian(mu, cov)),
-            klpriors.log_density_nw_prior(prior_nw, mu2, p)
-            + alpha * gaussian.kl(base_nw, Gaussian(mu2, cov)),
-        )
-
-    stat = _residual_spread(d, trials, rng, residuals)
+    p, cov, mu2 = _random_trials(d, trials, rng)
+    stat = _spread(
+        klpriors.log_density_wishart_prior(prior_w, p)
+        + alpha * gaussian.kl(Gaussian(mu, sigma), Gaussian(np.broadcast_to(mu, mu2.shape), cov)),
+        klpriors.log_density_nw_prior(prior_nw, mu2, p)
+        + alpha * gaussian.kl(Gaussian(m, sigma), Gaussian(mu2, cov)),
+    )
     return _report(
         "proportionality", stat, 1e-9, f"d={d} alpha={alpha} trials={trials}"
     )
@@ -136,17 +135,16 @@ def check_conjugacy(
     stats = inference.suff_stats(data)
     post_nw_prior = inference.posterior_unknown(prior_nw, stats).as_prior()
 
-    def residuals(mu2, p, cov):
-        return (
-            wishart.wishart_log_pdf(post_w.wishart, p)
-            - klpriors.log_density_wishart_prior(prior_w, p)
-            - float(gaussian.logpdf(Gaussian(mu_known, cov), data).sum()),
-            klpriors.log_density_nw_prior(post_nw_prior, mu2, p)
-            - klpriors.log_density_nw_prior(prior_nw, mu2, p)
-            - float(gaussian.logpdf(Gaussian(mu2, cov), data).sum()),
-        )
-
-    stat = _residual_spread(d, trials, rng, residuals)
+    p, cov, mu2 = _random_trials(d, trials, rng)
+    known = Gaussian(np.broadcast_to(mu_known, mu2.shape), cov)
+    stat = _spread(
+        wishart.wishart_log_pdf(post_w.wishart, p)
+        - klpriors.log_density_wishart_prior(prior_w, p)
+        - gaussian.logpdf(known, data).sum(axis=1),
+        klpriors.log_density_nw_prior(post_nw_prior, mu2, p)
+        - klpriors.log_density_nw_prior(prior_nw, mu2, p)
+        - gaussian.logpdf(Gaussian(mu2, cov), data).sum(axis=1),
+    )
     return _report(
         "conjugacy", stat, 1e-8, f"d={d} n={n} alpha={alpha} trials={trials}"
     )

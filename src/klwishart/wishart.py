@@ -96,16 +96,17 @@ class WishartParams:
 
 
 @raise_fp_errors
-def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
-    """log W(P | V, nu) with V = S^{-1}; `trace_product` rejects a P of
-    another dimension."""
+def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float | np.ndarray:
+    """log W(P | V, nu) with V = S^{-1}, a (T,) array for a stack of T
+    matrices P; `trace_product` rejects a P of another dimension."""
     d = w.dim
     nu = w.shape
-    return float(
+    value = (
         (nu - d - 1) / 2.0 * P.logdet
         - 0.5 * pdcore.trace_product(P, w.scale_inv)
         - w.log_normaliser
     )
+    return float(value) if P.entries.ndim == 2 else value
 
 
 @raise_fp_errors

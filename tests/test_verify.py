@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from klwishart import inference, klpriors, pdcore, verify, wishart
+from klwishart import gaussian, inference, klpriors, pdcore, verify, wishart
 
 
 def rng(seed=0):
@@ -69,6 +69,61 @@ class TestConjugacy:
         monkeypatch.setattr(inference, "merge_stats", no_outer)
         rep = verify.check_conjugacy(d=2, n=10, alpha=1.0, trials=50, rng=rng(6))
         assert not rep.passed
+
+
+class TestStackedEvaluation:
+    """Negative controls that reach the stacked branches of the densities
+    the proportionality and conjugacy checks call: each wrong term varies
+    with the trial, so it cannot cancel."""
+
+    def test_kl_without_q_logdet_fails_proportionality(self, monkeypatch):
+        kl = gaussian.kl
+        monkeypatch.setattr(gaussian, "kl", lambda p, q: kl(p, q) - 0.5 * q.cov.logdet)
+        rep = verify.check_proportionality(d=3, alpha=0.7, trials=200, rng=rng(17))
+        assert not rep.passed
+
+    def test_logpdf_without_logdet_fails_conjugacy(self, monkeypatch):
+        logpdf = gaussian.logpdf
+
+        def no_logdet(g, x):
+            logdet = np.asarray(g.cov.logdet)
+            return logpdf(g, x) + 0.5 * (logdet[..., None] if np.ndim(x) == 2 else logdet)
+
+        monkeypatch.setattr(gaussian, "logpdf", no_logdet)
+        rep = verify.check_conjugacy(d=2, n=10, alpha=1.0, trials=100, rng=rng(18))
+        assert not rep.passed
+
+    def test_scaled_quad_form_fails_both(self, monkeypatch):
+        quad_form = pdcore.quad_form
+        monkeypatch.setattr(pdcore, "quad_form", lambda v, a: 1.01 * quad_form(v, a))
+        assert not verify.check_proportionality(d=3, alpha=0.7, trials=200, rng=rng(19)).passed
+        assert not verify.check_conjugacy(d=2, n=10, alpha=1.0, trials=100, rng=rng(20)).passed
+
+    @pytest.mark.parametrize(
+        "check, density",
+        [
+            (lambda t: verify.check_proportionality(d=3, alpha=0.7, trials=t, rng=rng(21)), (gaussian, "kl")),
+            (lambda t: verify.check_conjugacy(d=2, n=10, alpha=1.0, trials=t, rng=rng(22)), (gaussian, "logpdf")),
+        ],
+        ids=["proportionality", "conjugacy"],
+    )
+    def test_one_call_per_density_for_all_trials(self, monkeypatch, check, density):
+        # A return to per-trial calls fails here, without a timing test.
+        calls = []
+        for module, name in [(klpriors, "log_density_nw_prior"), density]:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        counts = []
+        for trials in (2, 200):
+            calls.clear()
+            assert check(trials).passed
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] and len(counts[1]) <= 4
 
 
 class TestMoments:
@@ -169,14 +224,18 @@ class TestMapGradient:
 class TestRandomPDPair:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_first_is_random_pd_and_product_is_identity(self, d):
+        # The stacked trials against a loop of random_pd, each followed by
+        # the trial's mean: member by member bitwise, the stream left alike.
         for seed in range(10):
             gen, same = rng(seed), rng(seed)
-            p, cov = verify._random_pd_pair(d, gen)
-            ref = verify.random_pd(d, same)
-            assert p.entries.tobytes() == ref.entries.tobytes()
-            assert p.factor.tobytes() == ref.factor.tobytes()
+            p, cov, mean = verify._random_trials(d, 3, gen)
+            for k in range(3):
+                ref = verify.random_pd(d, same)
+                assert p.entries[k].tobytes() == ref.entries.tobytes()
+                assert p.factor[k].tobytes() == ref.factor.tobytes()
+                assert mean[k].tobytes() == same.standard_normal(d).tobytes()
+                assert np.abs(p.entries[k] @ cov.entries[k] - np.eye(d)).max() <= 1e-12
             assert gen.bit_generator.state == same.bit_generator.state
-            assert np.abs(p.entries @ cov.entries - np.eye(d)).max() <= 1e-12
 
 
 class TestReports:
