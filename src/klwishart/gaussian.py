@@ -6,9 +6,9 @@ covariance's cached inverse Cholesky factor L^{-1} (`pdcore.whiten`), so
 none of them forms the inverse covariance.  All computation stays in the
 log domain.
 
-A `Gaussian` may hold a stack of T Gaussians: a (T, d) mean with a
-(T, d, d) covariance.  `logpdf` and `kl` then return one value per member
-as (T,) arrays, (T, n) for the rows of an (n, d) x, from one call.
+A `GaussianStack` holds T Gaussians: a (T, d) mean with a `pdcore.PDStack`
+covariance.  `logpdf_stack` and `kl_stack` evaluate every member in one
+call and return one value per member.
 """
 
 from __future__ import annotations
@@ -19,19 +19,32 @@ import numpy as np
 
 from . import pdcore
 from .errors import DimensionMismatch, KLWishartError
-from .pdcore import PDMatrix, raise_fp_errors
+from .pdcore import PDMatrix, PDStack, raise_fp_errors
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Gaussian:
-    """Mean vector plus PDMatrix covariance; a stacked covariance takes one
-    mean per member."""
+    """Mean vector plus PDMatrix covariance."""
 
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov: PDMatrix):
-        self.mean = pdcore.finite_vector(mean, cov.dim, "Gaussian mean", cov.entries.shape[:-2])
+        self.mean = pdcore.finite_vector(mean, cov.dim, "Gaussian mean")
+        self.cov = cov
+
+    @property
+    def dim(self) -> int:
+        return self.cov.dim
+
+
+class GaussianStack:
+    """T Gaussians: a (T, d) stack of means with a PDStack of covariances."""
+
+    __slots__ = ("mean", "cov")
+
+    def __init__(self, mean, cov: PDStack):
+        self.mean = pdcore.finite_vectors(mean, len(cov), cov.dim, "Gaussian mean")
         self.cov = cov
 
     @property
@@ -42,13 +55,10 @@ class Gaussian:
 @raise_fp_errors
 def logpdf(g: Gaussian, x) -> float | np.ndarray:
     """log N(x | mean, cov): a float for one point x of shape (d,), an (n,)
-    array for the rows of an (n, d) array; for a stack of T Gaussians a
-    (T,) or a (T, n) array."""
+    array for the rows of an (n, d) array."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != g.dim:
         raise DimensionMismatch(f"point {x.shape} vs dim {g.dim}")
-    if g.mean.ndim == 2:
-        return _stacked_logpdf(g, x)
     # Mahalanobis term ||L^{-1} delta||^2, every row in one whiten.
     try:
         y = pdcore.whiten(g.cov, (x - g.mean).T)
@@ -62,18 +72,18 @@ def logpdf(g: Gaussian, x) -> float | np.ndarray:
     return -0.5 * (g.dim * LOG_2PI + g.cov.logdet + maha)
 
 
-def _stacked_logpdf(g: Gaussian, x: np.ndarray) -> np.ndarray:
-    """`logpdf` of a stack of T Gaussians: each member's rows in one whiten
-    of a (T, d, n) stack."""
-    rows = x if x.ndim == 2 else x[None]
-    try:
-        y = pdcore.whiten(g.cov, (rows - g.mean[:, None, :]).swapaxes(1, 2))
-    except FloatingPointError:
-        if not np.isfinite(x).all():
-            raise KLWishartError("point x must be finite") from None
-        raise
-    logpdf = -0.5 * (g.dim * LOG_2PI + g.cov.logdet[:, None] + np.sum(y * y, axis=1))
-    return logpdf if x.ndim == 2 else logpdf[:, 0]
+@raise_fp_errors
+def logpdf_stack(g: GaussianStack, x) -> np.ndarray:
+    """log N(x_j | mean_k, cov_k) for the rows x_j of an (n, d) array and
+    each member k of a stack, a (T, n) array: every row under every member
+    in one whiten."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != g.dim:
+        raise DimensionMismatch(f"points {x.shape} vs dim {g.dim}")
+    if not np.isfinite(x).all():
+        raise KLWishartError("point x must be finite")
+    y = pdcore.whiten(g.cov, (x - g.mean[:, None, :]).swapaxes(1, 2))
+    return -0.5 * (g.dim * LOG_2PI + g.cov.logdet[:, None] + np.sum(y * y, axis=1))
 
 
 def entropy(g: Gaussian) -> float:
@@ -82,22 +92,27 @@ def entropy(g: Gaussian) -> float:
 
 
 @raise_fp_errors
-def kl(p: Gaussian, q: Gaussian) -> float | np.ndarray:
-    """KL(p || q) between multivariate Gaussians, exact closed form; a (T,)
-    array when p or q is a stack of T (each may be one Gaussian or T)."""
+def kl(p: Gaussian, q: Gaussian) -> float:
+    """KL(p || q) between multivariate Gaussians, exact closed form."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"kl: dims {p.dim} vs {q.dim}")
     # tr(Sigma_q^{-1} Sigma_p) = ||L_q^{-1} L_p||_F^2, and the Mahalanobis
     # term is ||L_q^{-1} (m_q - m_p)||^2.
     m = pdcore.whiten(q.cov, p.cov.factor)
-    delta = q.mean - p.mean
-    if m.ndim == 2:
-        y = pdcore.whiten(q.cov, delta)
-        value = 0.5 * (np.sum(m * m) + y @ y - p.dim + q.cov.logdet - p.cov.logdet)
-        # KL >= 0; only rounding takes the closed form below zero.
-        return max(float(value), 0.0)
-    # A stack: each member's trace and Mahalanobis term as one row's sum.
-    y = pdcore.whiten(q.cov, delta[..., None])
+    y = pdcore.whiten(q.cov, q.mean - p.mean)
+    value = 0.5 * (np.sum(m * m) + y @ y - p.dim + q.cov.logdet - p.cov.logdet)
+    # KL >= 0; only rounding takes the closed form below zero.
+    return max(float(value), 0.0)
+
+
+@raise_fp_errors
+def kl_stack(p: Gaussian, q: GaussianStack) -> np.ndarray:
+    """KL(p || q_k) from one Gaussian p to each member of a stack q, a (T,)
+    array: `kl`'s closed form, each member's terms summed as one row."""
+    if p.dim != q.dim:
+        raise DimensionMismatch(f"kl_stack: dims {p.dim} vs {q.dim}")
+    m = pdcore.whiten(q.cov, p.cov.factor)
+    y = pdcore.whiten(q.cov, (q.mean - p.mean)[:, :, None])
     trace = (m * m).reshape(len(m), -1).sum(axis=1)
     value = 0.5 * (trace + np.sum(y * y, axis=(1, 2)) - p.dim + q.cov.logdet - p.cov.logdet)
     return np.maximum(value, 0.0)

@@ -30,8 +30,8 @@ import numpy as np
 from . import pdcore
 from .errors import KLWishartError, NotPositiveDefinite
 from .gaussian import LOG_2PI
-from .pdcore import PDMatrix, raise_fp_errors
-from .wishart import WishartParams, wishart_log_pdf
+from .pdcore import PDMatrix, PDStack, raise_fp_errors
+from .wishart import WishartParams, wishart_log_pdf, wishart_log_pdf_stack
 
 
 def _check_alpha(alpha: float) -> np.float64:
@@ -124,23 +124,39 @@ def to_normal_wishart(p: KLNormalWishartPrior):
     return _view(p, known_mean=False), p.prior_mean, p.pseudocount
 
 
-def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float | np.ndarray:
-    """log prior density of a precision matrix, a (T,) array for a stack;
-    equals -alpha KL(N(mu, Sigma) || N(mu, P^{-1})) up to a constant."""
+def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
+    """log prior density of a precision matrix; equals
+    -alpha KL(N(mu, Sigma) || N(mu, P^{-1})) up to a constant."""
     return wishart_log_pdf(to_wishart(p), P)
 
 
 @raise_fp_errors
-def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float | np.ndarray:
-    """Joint log prior density of (mu, P), a (T,) array for a (T, d) stack
-    of means with a stack of T precisions; equals
+def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
+    """Joint log prior density of (mu, P); equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
-    mu = pdcore.finite_vector(mu, p.dim, "mu", P.entries.shape[:-2])
+    mu = pdcore.finite_vector(mu, p.dim, "mu")
     wish, m, alpha = to_normal_wishart(p)
     d = p.dim
     # log N(mu | m, (alpha P)^{-1}), from P's own factor.
     log_cond = -0.5 * (
         d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form(mu - m, P)
     )
-    value = wishart_log_pdf(wish, P) + log_cond
-    return float(value) if P.entries.ndim == 2 else value
+    return float(wishart_log_pdf(wish, P) + log_cond)
+
+
+def log_density_wishart_prior_stack(p: KLWishartPrior, P: PDStack) -> np.ndarray:
+    """`log_density_wishart_prior` of each member of a stack P, a (T,) array."""
+    return wishart_log_pdf_stack(to_wishart(p), P)
+
+
+@raise_fp_errors
+def log_density_nw_prior_stack(p: KLNormalWishartPrior, mu, P: PDStack) -> np.ndarray:
+    """`log_density_nw_prior` of each pair (mu_k, P_k) of a (T, d) stack of
+    means and a stack P, a (T,) array."""
+    mu = pdcore.finite_vectors(mu, len(P), p.dim, "mu")
+    wish, m, alpha = to_normal_wishart(p)
+    d = p.dim
+    log_cond = -0.5 * (
+        d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form_stack(mu - m, P)
+    )
+    return wishart_log_pdf_stack(wish, P) + log_cond

@@ -11,29 +11,28 @@ L X = I for L^{-1} on first use and keeps it.  Everything else is a
 product of the two: `whiten` (L^{-1} B), `solve` (L^{-T} L^{-1} B),
 `inverse`, `quad_form` and `PDMatrix.logdet`.
 
-A `PDMatrix` holds one (d, d) matrix or a stack of T of them, (T, d, d),
-from one `make_pd` call: one Cholesky call factors the whole stack, and
-`factor`, `inverse_factor` and `logdet` keep the leading axis (`logdet` is
-a (T,) array, a Python float for one matrix).  `trace_product` and
-`quad_form` return a (T,) array for a stack, with a (T, d) vector for
-`quad_form`; `whiten` is a matmul, so a stack of vectors goes in as
-(T, d, 1) and a (d,) vector or (d, k) matrix applies to every member.  A
-single matrix takes the same code it took before stacks, guards and return
-types included.
+A `PDStack` holds T matrices of one dimension, (T, d, d), factored by one
+`make_pd_stack` call: one Cholesky call for the whole stack, guarded by the
+same rules as `make_pd`, member by member.  Its `factor` and
+`inverse_factor` keep the leading axis and its `logdet` is a (T,) array.
+Stacks have their own functions, `trace_product_stack` and
+`quad_form_stack`, which return (T,) arrays; `whiten` is a matmul and
+takes either.  `make_pd`, `solve`, `inverse`, `trace_product` and
+`quad_form` take one matrix, so a single matrix runs no stack code.
 
 Every mean the library keeps, and every mean `mu` a density is evaluated
-at, enters through `finite_vector`, which checks its shape and finiteness
+at, enters through `finite_vector`, which checks its length and finiteness
 and keeps a read-only copy, so a caller's array is never frozen or shared;
-a (T, d) mean goes with a (T, d, d) matrix.
+the (T, d) means that go with a stack enter through `finite_vectors`.
 
 It also holds the library's one overflow policy, `raise_fp_errors`:
 arithmetic that overflows, divides by zero or turns invalid raises
-FloatingPointError.  `make_pd`, `trace_product`, `quad_form` and the public
-functions of `gaussian`, `wishart`, `klpriors` and `inference` that compute
-on caller values carry it as a decorator.  np.linalg ignores it, so its
-one result per matrix, L^{-1}, is checked for non-finite values once, when
-it is cached.  `whiten`'s product obeys the caller's policy and is checked
-too.
+FloatingPointError.  `make_pd`, `trace_product`, `quad_form`, their stack
+versions and the public functions of `gaussian`, `wishart`, `klpriors` and
+`inference` that compute on caller values carry it as a decorator.
+np.linalg ignores it, so its one result per matrix, L^{-1}, is checked for
+non-finite values once, when it is cached.  `whiten`'s product obeys the
+caller's policy and is checked too.
 """
 
 from __future__ import annotations
@@ -56,17 +55,15 @@ class PDMatrix:
     """Immutable symmetric positive-definite matrix with cached Cholesky factor.
 
     Construct via :func:`make_pd`; the constructor assumes `entries` is
-    already symmetric.  `entries` is (d, d), or (T, d, d) for a stack of T
-    matrices, and `factor` has its shape.  `logdet` and `inverse_factor`
-    are computed from the factor on first access and kept: densities read
-    them many times per matrix, and an immutable matrix's derived quantities
-    never go stale.
+    already symmetric.  `logdet` and `inverse_factor` are computed from the
+    factor on first access and kept: densities read them many times per
+    matrix, and an immutable matrix's derived quantities never go stale.
     """
 
     __slots__ = ("dim", "entries", "factor", "_logdet", "_inverse_factor")
 
     def __init__(self, entries: np.ndarray, factor: np.ndarray):
-        self.dim = entries.shape[-1]
+        self.dim = entries.shape[0]
         self.entries = entries
         self.factor = factor
         self._logdet = None
@@ -75,31 +72,18 @@ class PDMatrix:
         factor.setflags(write=False)
 
     @property
-    def logdet(self) -> float | np.ndarray:
-        """log|A| = 2 sum_i log L[i, i]: a float, or a read-only (T,) array
-        for a stack."""
+    def logdet(self) -> float:
+        """log|A| = 2 sum_i log L[i, i]."""
         if self._logdet is None:
-            if self.factor.ndim == 2:
-                self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
-            else:
-                diag = np.diagonal(self.factor, axis1=1, axis2=2)
-                self._logdet = 2.0 * np.log(diag).sum(axis=1)
-                self._logdet.setflags(write=False)
+            self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
         return self._logdet
 
     @property
     def inverse_factor(self) -> np.ndarray:
-        """L^{-1}, read-only: one forward solve L X = I on first access, of
-        the whole stack for a stack.  A non-finite result raises
-        FloatingPointError and is not kept."""
+        """L^{-1}, read-only: one forward solve L X = I on first access.  A
+        non-finite result raises FloatingPointError and is not kept."""
         if self._inverse_factor is None:
-            eye = np.eye(self.dim)
-            if self.factor.ndim == 3:
-                # numpy < 2 reads a (d, d) right-hand side against a stack as
-                # a stack of vectors; one identity per member is read alike
-                # by every numpy.  A single matrix skips the view's cost.
-                eye = np.broadcast_to(eye, self.factor.shape)
-            inv = _solved(np.linalg.solve(self.factor, eye))
+            inv = _solved(np.linalg.solve(self.factor, np.eye(self.dim)))
             inv.setflags(write=False)
             self._inverse_factor = inv
         return self._inverse_factor
@@ -108,26 +92,67 @@ class PDMatrix:
         return f"PDMatrix(dim={self.dim}, entries={self.entries.tolist()})"
 
 
+class PDStack:
+    """Immutable stack of T symmetric positive-definite d x d matrices with
+    their cached Cholesky factors: `entries` and `factor` are (T, d, d).
+
+    Construct via :func:`make_pd_stack`.  `logdet`, a read-only (T,) array,
+    and `inverse_factor` are computed on first access and kept, as for a
+    `PDMatrix`.
+    """
+
+    __slots__ = ("dim", "entries", "factor", "_logdet", "_inverse_factor")
+
+    def __init__(self, entries: np.ndarray, factor: np.ndarray):
+        self.dim = entries.shape[2]
+        self.entries = entries
+        self.factor = factor
+        self._logdet = None
+        self._inverse_factor = None
+        entries.setflags(write=False)
+        factor.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def logdet(self) -> np.ndarray:
+        """log|A_k| = 2 sum_i log L_k[i, i] for each member k."""
+        if self._logdet is None:
+            logdet = 2.0 * np.log(np.diagonal(self.factor, axis1=1, axis2=2)).sum(axis=1)
+            logdet.setflags(write=False)
+            self._logdet = logdet
+        return self._logdet
+
+    @property
+    def inverse_factor(self) -> np.ndarray:
+        """L_k^{-1} for each member, read-only: one forward solve of the
+        whole stack on first access.  A non-finite result raises
+        FloatingPointError and is not kept."""
+        if self._inverse_factor is None:
+            # numpy < 2 reads a (d, d) right-hand side against a stack as a
+            # stack of vectors; one identity per member is read alike by
+            # every numpy.
+            eye = np.broadcast_to(np.eye(self.dim), self.factor.shape)
+            inv = _solved(np.linalg.solve(self.factor, eye))
+            inv.setflags(write=False)
+            self._inverse_factor = inv
+        return self._inverse_factor
+
+
 @raise_fp_errors
 def make_pd(raw) -> PDMatrix:
-    """Symmetrize and factor a non-empty square matrix, or a non-empty
-    (T, d, d) stack of them; reject non-PD input.
+    """Symmetrize and factor a non-empty square matrix; reject non-PD input.
 
     Raises DimensionMismatch for non-square or empty input and
-    NotPositiveDefinite when the Cholesky factorization fails, the factor
-    is not finite (NaN or infinite entries) or any pivot falls below
-    PIVOT_RTOL * max(diag).  Entries whose symmetrization overflows, or
-    adds inf to -inf, raise FloatingPointError.  A stack is rejected by the
-    same rules, member by member; the message names the first failing
-    member's index.
+    NotPositiveDefinite when the Cholesky factorization fails (NaN entries
+    included), the factor is not finite (infinite entries) or any pivot
+    falls below PIVOT_RTOL * max(diag).  Entries whose symmetrization
+    overflows, or adds inf to -inf, raise FloatingPointError.
     """
     a = np.array(raw, dtype=float)
-    if a.ndim == 3 and len(a):
-        return _make_pd_stack(a)
     if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
-        raise DimensionMismatch(
-            f"expected a non-empty square matrix or (T, d, d) stack, got shape {a.shape}"
-        )
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
     a += a.T
     a *= 0.5
     try:
@@ -149,13 +174,19 @@ def make_pd(raw) -> PDMatrix:
     return PDMatrix(a, factor)
 
 
-def _make_pd_stack(a: np.ndarray) -> PDMatrix:
-    """`make_pd` of a non-empty (T, d, d) stack, in place: the same steps
-    and guards, the guards as reductions over the leading axis.  Each
-    message names the first failing member."""
-    if not 0 < a.shape[1] == a.shape[2]:
+@raise_fp_errors
+def make_pd_stack(raw) -> PDStack:
+    """`make_pd` of each member of a non-empty (T, d, d) stack, with one
+    Cholesky call for all of them.
+
+    The same steps and guards as `make_pd`, the guards as reductions over
+    the leading axis: DimensionMismatch for another shape, and each
+    NotPositiveDefinite message names the first failing member's index.
+    """
+    a = np.array(raw, dtype=float)
+    if a.ndim != 3 or not (len(a) and 0 < a.shape[1] == a.shape[2]):
         raise DimensionMismatch(
-            f"expected a non-empty square matrix or (T, d, d) stack, got shape {a.shape}"
+            f"expected a non-empty (T, d, d) stack of square matrices, got shape {a.shape}"
         )
     a += a.swapaxes(1, 2)
     a *= 0.5
@@ -182,18 +213,29 @@ def _make_pd_stack(a: np.ndarray) -> PDMatrix:
             f"smallest Cholesky pivot {pivot[i]:.3e} below relative "
             f"threshold {PIVOT_RTOL:g} (stack index {i})"
         )
-    return PDMatrix(a, factor)
+    return PDStack(a, factor)
 
 
-def finite_vector(value, dim: int, name: str, stack: tuple = ()) -> np.ndarray:
-    """value as a new read-only float array of shape stack + (dim,) with
-    finite entries: DimensionMismatch for another shape, KLWishartError for
-    a NaN or infinity.  `stack` is a matrix stack's leading shape, (T,) for
-    the means that go with a (T, d, d) matrix."""
+def finite_vector(value, dim: int, name: str) -> np.ndarray:
+    """value as a new read-only float vector of shape (dim,) with finite
+    entries: DimensionMismatch for another shape, KLWishartError for a NaN
+    or infinity."""
     v = np.array(value, dtype=float)
-    if v.shape != stack + (dim,):
-        raise DimensionMismatch(f"{name} has shape {v.shape}, expected {stack + (dim,)}")
-    if not (np.isfinite(v).all() if stack else all(map(math.isfinite, v.tolist()))):
+    if v.shape != (dim,):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({dim},)")
+    if not all(map(math.isfinite, v.tolist())):
+        raise KLWishartError(f"{name} must be finite")
+    v.setflags(write=False)
+    return v
+
+
+def finite_vectors(value, count: int, dim: int, name: str) -> np.ndarray:
+    """`finite_vector` for a (count, dim) stack of vectors: one per member
+    of a `PDStack`."""
+    v = np.array(value, dtype=float)
+    if v.shape != (count, dim):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({count}, {dim})")
+    if not np.isfinite(v).all():
         raise KLWishartError(f"{name} must be finite")
     v.setflags(write=False)
     return v
@@ -209,19 +251,19 @@ def _solved(x: np.ndarray) -> np.ndarray:
 
 def whiten(a: PDMatrix, b) -> np.ndarray:
     """L^{-1} B for A = L L': the cached inverse factor applied to B, so
-    ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}.  The product is a
-    matmul, so stacks broadcast as np.matmul's do: a (d,) vector or (d, k)
-    matrix B applies to each member of a stacked A, a (T, d, k) B pairs
-    member by member, and a stack of vectors goes in as (T, d, 1).  The
-    product obeys the caller's floating-point policy, and a non-finite one
-    raises FloatingPointError under any policy."""
+    ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}.  For a `PDStack`
+    the product broadcasts as np.matmul's does: a (d,) vector or (d, k)
+    matrix B applies to every member and a (T, d, k) B pairs member by
+    member, so a stack of vectors goes in as (T, d, 1).  The product obeys
+    the caller's floating-point policy, and a non-finite one raises
+    FloatingPointError under any policy."""
     return _solved(a.inverse_factor @ np.asarray(b, dtype=float))
 
 
 @raise_fp_errors
 def solve(a: PDMatrix, b) -> np.ndarray:
     """A^{-1} B = L^{-T} (L^{-1} B): the whitened B times the cached L^{-1}'."""
-    return a.inverse_factor.swapaxes(-1, -2) @ whiten(a, b)
+    return a.inverse_factor.T @ whiten(a, b)
 
 
 def inverse(a: PDMatrix) -> PDMatrix:
@@ -230,28 +272,39 @@ def inverse(a: PDMatrix) -> PDMatrix:
 
 
 @raise_fp_errors
-def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64 | np.ndarray:
+def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64:
     """tr(A B) without forming the product matrix.  Like `quad_form` it
     returns a numpy scalar, so a caller's arithmetic on it obeys
-    raise_fp_errors; a (T,) array when either matrix is a stack."""
+    raise_fp_errors."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"trace_product: {a.dim} vs {b.dim}")
-    product = a.entries * b.entries
-    if product.ndim == 2:
-        return np.sum(product)
-    # Each member's d * d entries summed as one row, in the single sum's order.
-    return product.reshape(len(product), -1).sum(axis=1)
+    return np.sum(a.entries * b.entries)
 
 
 @raise_fp_errors
-def quad_form(v, a: PDMatrix) -> np.float64 | np.ndarray:
-    """v' A v; nonnegative, zero only at v = 0.  A stacked A takes a (T, d)
-    stack of vectors and returns a (T,) array."""
+def quad_form(v, a: PDMatrix) -> np.float64:
+    """v' A v; nonnegative, zero only at v = 0."""
     v = np.asarray(v, dtype=float)
-    if v.shape != a.entries.shape[:-1]:
+    if v.shape != (a.dim,):
         raise DimensionMismatch(f"quad_form: vector {v.shape} vs dim {a.dim}")
-    if v.ndim == 1:
-        w = a.factor.T @ v
-        return w @ w
+    w = a.factor.T @ v
+    return w @ w
+
+
+@raise_fp_errors
+def trace_product_stack(a: PDStack, b: PDMatrix) -> np.ndarray:
+    """tr(A_k B) for each member of a stack and one matrix B, a (T,) array."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"trace_product_stack: {a.dim} vs {b.dim}")
+    # Each member's d * d entries summed as one row, in `trace_product`'s order.
+    return (a.entries * b.entries).reshape(len(a), -1).sum(axis=1)
+
+
+@raise_fp_errors
+def quad_form_stack(v, a: PDStack) -> np.ndarray:
+    """v_k' A_k v_k for a (T, d) stack of vectors, a (T,) array."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (len(a), a.dim):
+        raise DimensionMismatch(f"quad_form_stack: vectors {v.shape} vs stack {a.entries.shape}")
     w = a.factor.swapaxes(1, 2) @ v[:, :, None]
     return np.sum(w * w, axis=(1, 2))

@@ -18,10 +18,11 @@ check draws its scatter S itself rather than inverting a random scale;
 the priors are built once per check and keep their own Wishart views.
 The proportionality and conjugacy checks draw their trials one by one, in
 a fixed stream order, then evaluate every trial at once: one `qr` and one
-`make_pd` per stack, and one call of each library density on the (T, d, d)
-stack of precisions or covariances.  The moments check inverts its draws
-with `_batch_inverse`, elementwise across blocks of draws, rather than one
-LAPACK call per small matrix.
+`make_pd_stack` per stack, and one call of each density's stack version
+(`kl_stack`, `logpdf_stack`, `wishart_log_pdf_stack` and the priors'
+`_stack` densities) on the stack of precisions or covariances.  The
+moments check inverts its draws with `_batch_inverse`, elementwise across
+blocks of draws, rather than one LAPACK call per small matrix.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from . import gaussian, inference, klpriors, pdcore, wishart
 from ._kernels import _BLOCK
 from .errors import NotPositiveDefinite
-from .gaussian import Gaussian
-from .pdcore import PDMatrix
+from .gaussian import Gaussian, GaussianStack
+from .pdcore import PDMatrix, PDStack
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,13 @@ def random_pd(d: int, rng: np.random.Generator) -> PDMatrix:
 
 def _random_trials(
     d: int, trials: int, rng: np.random.Generator
-) -> tuple[PDMatrix, PDMatrix, np.ndarray]:
+) -> tuple[PDStack, PDStack, np.ndarray]:
     """T = trials random precisions P = Q diag(eig) Q' and their covariances
-    Q diag(1/eig) Q', each as one stacked PDMatrix, and a (T, d) stack of
-    means.  Trial k draws Q's normals, its eigenvalues and its mean, in
-    that order, so member k of P is bitwise the k-th `random_pd(d, rng)` of
-    a loop that draws `rng.standard_normal(d)` after each, and the
-    generator ends in that loop's state."""
+    Q diag(1/eig) Q', each as one PDStack, and a (T, d) stack of means.
+    Trial k draws Q's normals, its eigenvalues and its mean, in that order,
+    so member k of P is bitwise the k-th `random_pd(d, rng)` of a loop that
+    draws `rng.standard_normal(d)` after each, and the generator ends in
+    that loop's state."""
     normals, eig, mean = np.empty((trials, d, d)), np.empty((trials, 1, d)), np.empty((trials, d))
     for k in range(trials):
         normals[k] = rng.standard_normal((d, d))
@@ -83,7 +84,7 @@ def _random_trials(
         mean[k] = rng.standard_normal(d)
     q, _ = np.linalg.qr(normals)
     qt = q.swapaxes(1, 2)
-    return pdcore.make_pd((q * eig) @ qt), pdcore.make_pd((q / eig) @ qt), mean
+    return pdcore.make_pd_stack((q * eig) @ qt), pdcore.make_pd_stack((q / eig) @ qt), mean
 
 
 def _spread(*residuals: np.ndarray) -> float:
@@ -104,10 +105,10 @@ def check_proportionality(
     )
     p, cov, mu2 = _random_trials(d, trials, rng)
     stat = _spread(
-        klpriors.log_density_wishart_prior(prior_w, p)
-        + alpha * gaussian.kl(Gaussian(mu, sigma), Gaussian(np.broadcast_to(mu, mu2.shape), cov)),
-        klpriors.log_density_nw_prior(prior_nw, mu2, p)
-        + alpha * gaussian.kl(Gaussian(m, sigma), Gaussian(mu2, cov)),
+        klpriors.log_density_wishart_prior_stack(prior_w, p)
+        + alpha * gaussian.kl_stack(Gaussian(mu, sigma), GaussianStack(np.broadcast_to(mu, mu2.shape), cov)),
+        klpriors.log_density_nw_prior_stack(prior_nw, mu2, p)
+        + alpha * gaussian.kl_stack(Gaussian(m, sigma), GaussianStack(mu2, cov)),
     )
     return _report(
         "proportionality", stat, 1e-9, f"d={d} alpha={alpha} trials={trials}"
@@ -136,14 +137,14 @@ def check_conjugacy(
     post_nw_prior = inference.posterior_unknown(prior_nw, stats).as_prior()
 
     p, cov, mu2 = _random_trials(d, trials, rng)
-    known = Gaussian(np.broadcast_to(mu_known, mu2.shape), cov)
+    known = GaussianStack(np.broadcast_to(mu_known, mu2.shape), cov)
     stat = _spread(
-        wishart.wishart_log_pdf(post_w.wishart, p)
-        - klpriors.log_density_wishart_prior(prior_w, p)
-        - gaussian.logpdf(known, data).sum(axis=1),
-        klpriors.log_density_nw_prior(post_nw_prior, mu2, p)
-        - klpriors.log_density_nw_prior(prior_nw, mu2, p)
-        - gaussian.logpdf(Gaussian(mu2, cov), data).sum(axis=1),
+        wishart.wishart_log_pdf_stack(post_w.wishart, p)
+        - klpriors.log_density_wishart_prior_stack(prior_w, p)
+        - gaussian.logpdf_stack(known, data).sum(axis=1),
+        klpriors.log_density_nw_prior_stack(post_nw_prior, mu2, p)
+        - klpriors.log_density_nw_prior_stack(prior_nw, mu2, p)
+        - gaussian.logpdf_stack(GaussianStack(mu2, cov), data).sum(axis=1),
     )
     return _report(
         "conjugacy", stat, 1e-8, f"d={d} n={n} alpha={alpha} trials={trials}"

@@ -18,7 +18,7 @@ import numpy as np
 from . import pdcore
 from ._kernels import _BLOCK, batch_bartlett
 from .errors import DimensionMismatch, InvalidShape
-from .pdcore import PDMatrix, raise_fp_errors
+from .pdcore import PDMatrix, PDStack, raise_fp_errors
 
 LOG_PI = math.log(math.pi)
 
@@ -96,17 +96,28 @@ class WishartParams:
 
 
 @raise_fp_errors
-def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float | np.ndarray:
-    """log W(P | V, nu) with V = S^{-1}, a (T,) array for a stack of T
-    matrices P; `trace_product` rejects a P of another dimension."""
+def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
+    """log W(P | V, nu) with V = S^{-1}; `trace_product` rejects a P of
+    another dimension."""
     d = w.dim
     nu = w.shape
-    value = (
+    return float(
         (nu - d - 1) / 2.0 * P.logdet
         - 0.5 * pdcore.trace_product(P, w.scale_inv)
         - w.log_normaliser
     )
-    return float(value) if P.entries.ndim == 2 else value
+
+
+@raise_fp_errors
+def wishart_log_pdf_stack(w: WishartParams, P: PDStack) -> np.ndarray:
+    """`wishart_log_pdf` of each member of a stack P, a (T,) array."""
+    d = w.dim
+    nu = w.shape
+    return (
+        (nu - d - 1) / 2.0 * P.logdet
+        - 0.5 * pdcore.trace_product_stack(P, w.scale_inv)
+        - w.log_normaliser
+    )
 
 
 @raise_fp_errors

@@ -596,6 +596,29 @@ _MALFORMED = {
         {"x.csv": _DATA_2D, "c.json": "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"},
         ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 3,
     ),
+    # A stack of matrices is a bad shape, not a matrix.
+    "fit_mode_cov_stack": (
+        {"x.csv": _DATA_2D, "c.json": "[[[1, 0], [0, 1]]]"},
+        ["fit", "--data", "{}/x.csv", "--alpha", "1", "--mode-cov", "{}/c.json"], {}, 3,
+    ),
+    "fit_mode_cov_stack_as_cov_object": (
+        {"x.csv": _DATA_2D, "c.json": '{"cov": [[[1, 0], [0, 1]]]}'},
+        ["fit", "--data", "{}/x.csv", "--mean-mode", "known", "--known-mu=0,0", "--alpha", "1",
+         "--mode-cov", "{}/c.json"],
+        {}, 3,
+    ),
+    "kl_cov_stack": (
+        {"p.json": '{"mean": [[0, 0]], "cov": [[[1, 0], [0, 1]]]}', "q.json": '{"mean": [0, 0], "cov": [[1, 0], [0, 1]]}'},
+        ["kl", "{}/p.json", "{}/q.json"], {}, 3,
+    ),
+    "kl_cov_stack_vector_mean": (
+        {"p.json": '{"mean": [0, 0], "cov": [[[1, 0], [0, 1]]]}'},
+        ["kl", "{}/p.json", "{}/p.json"], {}, 3,
+    ),
+    "sample_scatter_stack": (
+        {"d.json": '{"scatter": [[[1.0]]], "shape": 3}'},
+        ["sample", "{}/d.json", "-n", "2"], {}, 3,
+    ),
     "fit_known_mu_wrong_length": (
         {"x.csv": _DATA_2D},
         ["fit", "--data", "{}/x.csv", "--mean-mode", "known", "--known-mu=0,0,0", "--alpha", "1"],

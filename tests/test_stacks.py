@@ -1,17 +1,20 @@
-"""Stacked evaluation: a (T, d, d) PDMatrix and every function that takes
-one, against a loop over its members.
+"""Stacked evaluation: a PDStack of T matrices and every function that
+takes one, against a loop of the single-matrix function over its members.
 
 T runs over 1, d and 7.  T == d is the case where mixing up the stack axis
 and a matrix axis raises no error, and T == 1 the one where numpy < 2 read
-a (d, d) right-hand side against a stack as a stack of vectors.
+a (d, d) right-hand side against a stack as a stack of vectors.  The
+single-matrix functions take no stack: `make_pd` rejects a (T, d, d) array.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from klwishart import gaussian, klpriors, pdcore, wishart
-from klwishart.errors import DimensionMismatch, NotPositiveDefinite
-from klwishart.gaussian import Gaussian
+from klwishart.errors import DimensionMismatch, KLWishartError, NotPositiveDefinite
+from klwishart.gaussian import Gaussian, GaussianStack
 
 RTOL = 1e-13
 DIMS = [1, 2, 3, 5]
@@ -38,25 +41,21 @@ def _raw(d, T, rng):
     return z @ z.swapaxes(1, 2) + d * np.eye(d) + 1e-3 * rng.standard_normal((T, d, d))
 
 
-def _members(stack):
-    """A stacked PDMatrix as a list of single ones."""
-    return [pdcore.make_pd(m) for m in stack.entries]
-
-
 @pytest.fixture(params=[(d, t) for d in DIMS for t in COUNTS], ids=lambda p: f"d{p[0]}-T{p[1]}")
 def case(request):
     d, t = request.param
     T = _count(t, d)
     rng = np.random.default_rng([d, T])
     raw = _raw(d, T, rng)
-    stack, members = pdcore.make_pd(raw), [pdcore.make_pd(m) for m in raw]
+    stack, members = pdcore.make_pd_stack(raw), [pdcore.make_pd(m) for m in raw]
     return d, T, rng, stack, members
 
 
 class TestPDCore:
     def test_make_pd_and_logdet(self, case):
         d, T, _, stack, members = case
-        assert stack.dim == d and stack.entries.shape == stack.factor.shape == (T, d, d)
+        assert stack.dim == d and len(stack) == T
+        assert stack.entries.shape == stack.factor.shape == (T, d, d)
         _close(stack.entries, [m.entries for m in members])
         _close(stack.factor, [m.factor for m in members])
         _close(stack.logdet, [m.logdet for m in members])
@@ -77,81 +76,76 @@ class TestPDCore:
         _close(pdcore.whiten(stack, shared), [pdcore.whiten(m, shared) for m in members])
         _close(pdcore.whiten(stack, each), [pdcore.whiten(m, b) for m, b in zip(members, each)])
 
-    def test_solve_and_inverse(self, case):
-        d, T, rng, stack, members = case
-        each = rng.standard_normal((T, d, 2))
-        _close(pdcore.solve(stack, each), [pdcore.solve(m, b) for m, b in zip(members, each)])
-        _close(pdcore.inverse(stack).entries, [pdcore.inverse(m).entries for m in members])
-
     def test_trace_product(self, case):
         d, T, rng, stack, members = case
         other = pdcore.make_pd(_raw(d, 1, rng)[0])
-        others = pdcore.make_pd(_raw(d, T, rng))
-        _close(pdcore.trace_product(stack, other), [pdcore.trace_product(m, other) for m in members])
-        _close(pdcore.trace_product(other, stack), [pdcore.trace_product(other, m) for m in members])
-        _close(
-            pdcore.trace_product(stack, others),
-            [pdcore.trace_product(m, o) for m, o in zip(members, _members(others))],
-        )
+        _close(pdcore.trace_product_stack(stack, other), [pdcore.trace_product(m, other) for m in members])
         assert type(pdcore.trace_product(members[0], other)) is np.float64
+        with pytest.raises(DimensionMismatch):
+            pdcore.trace_product_stack(stack, pdcore.make_pd(np.eye(d + 1)))
 
     def test_quad_form(self, case):
         d, T, rng, stack, members = case
         v = rng.standard_normal((T, d))
-        _close(pdcore.quad_form(v, stack), [pdcore.quad_form(x, m) for x, m in zip(v, members)])
+        _close(pdcore.quad_form_stack(v, stack), [pdcore.quad_form(x, m) for x, m in zip(v, members)])
         assert type(pdcore.quad_form(v[0], members[0])) is np.float64
 
     def test_quad_form_takes_one_vector_per_member(self, case):
         d, T, _, stack, _ = case
         with pytest.raises(DimensionMismatch):
-            pdcore.quad_form(np.zeros(d), stack)
+            pdcore.quad_form_stack(np.zeros(d), stack)
         with pytest.raises(DimensionMismatch):
-            pdcore.quad_form(np.zeros((T + 1, d)), stack)
+            pdcore.quad_form_stack(np.zeros((T + 1, d)), stack)
 
 
 class TestGaussian:
     def test_logpdf(self, case):
         d, T, rng, cov, members = case
-        means, point, rows = rng.standard_normal((T, d)), rng.standard_normal(d), rng.standard_normal((6, d))
-        g = Gaussian(means, cov)
+        means, rows = rng.standard_normal((T, d)), rng.standard_normal((6, d))
+        g = GaussianStack(means, cov)
         singles = [Gaussian(m, c) for m, c in zip(means, members)]
-        _close(gaussian.logpdf(g, point), [gaussian.logpdf(s, point) for s in singles])
-        _close(gaussian.logpdf(g, rows), [gaussian.logpdf(s, rows) for s in singles])
-        assert type(gaussian.logpdf(singles[0], point)) is float
+        _close(gaussian.logpdf_stack(g, rows), [gaussian.logpdf(s, rows) for s in singles])
+        assert type(gaussian.logpdf(singles[0], rows[0])) is float
+
+    def test_logpdf_takes_rows_of_finite_points(self, case):
+        d, T, _, cov, _ = case
+        g = GaussianStack(np.zeros((T, d)), cov)
+        with pytest.raises(DimensionMismatch):
+            gaussian.logpdf_stack(g, np.zeros(d))
+        with pytest.raises(KLWishartError, match="^point x must be finite$"):
+            gaussian.logpdf_stack(g, np.full((2, d), np.nan))
 
     def test_kl(self, case):
         d, T, rng, cov, members = case
         means = rng.standard_normal((T, d))
         one = Gaussian(rng.standard_normal(d), pdcore.make_pd(_raw(d, 1, rng)[0]))
-        g = Gaussian(means, cov)
+        g = GaussianStack(means, cov)
         singles = [Gaussian(m, c) for m, c in zip(means, members)]
-        others = Gaussian(rng.standard_normal((T, d)), pdcore.make_pd(_raw(d, T, rng)))
-        other_singles = [Gaussian(m, c) for m, c in zip(others.mean, _members(others.cov))]
-        _close(gaussian.kl(one, g), [gaussian.kl(one, s) for s in singles])
-        _close(gaussian.kl(g, one), [gaussian.kl(s, one) for s in singles])
-        _close(gaussian.kl(g, others), [gaussian.kl(s, o) for s, o in zip(singles, other_singles)])
+        _close(gaussian.kl_stack(one, g), [gaussian.kl(one, s) for s in singles])
         assert type(gaussian.kl(one, singles[0])) is float
 
     def test_mean_goes_with_the_stack(self, case):
         d, T, _, cov, _ = case
         with pytest.raises(DimensionMismatch):
-            Gaussian(np.zeros(d), cov)
+            GaussianStack(np.zeros(d), cov)
         with pytest.raises(DimensionMismatch):
-            Gaussian(np.zeros((T + 1, d)), cov)
+            GaussianStack(np.zeros((T + 1, d)), cov)
+        with pytest.raises(KLWishartError, match="^Gaussian mean must be finite$"):
+            GaussianStack(np.full((T, d), np.inf), cov)
 
 
 class TestDensities:
     def test_wishart_log_pdf(self, case):
         d, T, rng, P, members = case
         w = wishart.WishartParams(pdcore.make_pd(_raw(d, 1, rng)[0]), shape=d + 1.5)
-        _close(wishart.wishart_log_pdf(w, P), [wishart.wishart_log_pdf(w, m) for m in members])
+        _close(wishart.wishart_log_pdf_stack(w, P), [wishart.wishart_log_pdf(w, m) for m in members])
         assert type(wishart.wishart_log_pdf(w, members[0])) is float
 
     def test_wishart_prior(self, case):
         d, T, rng, P, members = case
         prior = klpriors.KLWishartPrior(pdcore.make_pd(_raw(d, 1, rng)[0]), 0.7, rng.standard_normal(d))
         _close(
-            klpriors.log_density_wishart_prior(prior, P),
+            klpriors.log_density_wishart_prior_stack(prior, P),
             [klpriors.log_density_wishart_prior(prior, m) for m in members],
         )
         assert type(klpriors.log_density_wishart_prior(prior, members[0])) is float
@@ -161,12 +155,12 @@ class TestDensities:
         prior = klpriors.KLNormalWishartPrior(rng.standard_normal(d), pdcore.make_pd(_raw(d, 1, rng)[0]), 0.7)
         mu = rng.standard_normal((T, d))
         _close(
-            klpriors.log_density_nw_prior(prior, mu, P),
+            klpriors.log_density_nw_prior_stack(prior, mu, P),
             [klpriors.log_density_nw_prior(prior, x, m) for x, m in zip(mu, members)],
         )
         assert type(klpriors.log_density_nw_prior(prior, mu[0], members[0])) is float
         with pytest.raises(DimensionMismatch):
-            klpriors.log_density_nw_prior(prior, mu[0], P)
+            klpriors.log_density_nw_prior_stack(prior, mu[0], P)
 
 
 def _stack_with(member, at=2, count=4):
@@ -183,20 +177,26 @@ def _single_message(raw):
 
 
 class TestStackedRejections:
-    """A stacked make_pd rejects what the 2-D path rejects, one test per
-    kind, and names the first failing member."""
+    """make_pd_stack rejects what make_pd rejects, one test per kind, and
+    names the first failing member."""
 
     @pytest.mark.parametrize(
-        "shape", [(3, 2, 3), (3, 3, 2), (0, 2, 2), (3, 0, 0), (2, 2, 2, 2)], ids=str
+        "shape", [(3, 2, 3), (3, 3, 2), (0, 2, 2), (3, 0, 0), (2, 2, 2, 2), (2, 2)], ids=str
     )
     def test_non_square_or_empty(self, shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^expected a non-empty \(T, d, d\) stack"):
+            pdcore.make_pd_stack(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 2, 2), (2, 1, 1)], ids=str)
+    def test_make_pd_takes_no_stack(self, shape):
+        message = f"expected a non-empty square matrix, got shape {shape}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             pdcore.make_pd(np.ones(shape))
 
     def test_nan(self):
         member = [[np.nan, 0.0], [0.0, 1.0]]
         with pytest.raises(NotPositiveDefinite) as info:
-            pdcore.make_pd(_stack_with(member))
+            pdcore.make_pd_stack(_stack_with(member))
         assert str(info.value) == f"{_single_message(member)} (stack index 2)"
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "-inf"])
@@ -205,32 +205,32 @@ class TestStackedRejections:
         member = np.eye(2)
         member[position] = bad
         with pytest.raises(NotPositiveDefinite) as info:
-            pdcore.make_pd(_stack_with(member))
+            pdcore.make_pd_stack(_stack_with(member))
         assert str(info.value) == f"{_single_message(member)} (stack index 2)"
 
     def test_infinite_diagonal_gives_a_non_finite_factor(self):
         with pytest.raises(NotPositiveDefinite) as info:
-            pdcore.make_pd(_stack_with([[np.inf, 0.0], [0.0, 1.0]], at=1))
+            pdcore.make_pd_stack(_stack_with([[np.inf, 0.0], [0.0, 1.0]], at=1))
         assert str(info.value) == "non-finite entries in Cholesky factor (stack index 1)"
 
     def test_indefinite_member_is_named(self):
         member = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(NotPositiveDefinite) as info:
-            pdcore.make_pd(_stack_with(member, at=3))
+            pdcore.make_pd_stack(_stack_with(member, at=3))
         assert str(info.value) == f"{_single_message(member)} (stack index 3)"
 
     @pytest.mark.parametrize("at", [0, 2, 3])
     def test_small_pivot_names_the_member(self, at):
         member = np.diag([1.0, 1e-14])
         with pytest.raises(NotPositiveDefinite) as info:
-            pdcore.make_pd(_stack_with(member, at=at))
+            pdcore.make_pd_stack(_stack_with(member, at=at))
         assert str(info.value) == f"{_single_message(member)} (stack index {at})"
 
     def test_first_of_two_small_pivots_is_named(self):
         stack = _stack_with(np.diag([1.0, 1e-14]), at=3)
         stack[1] = np.diag([1e-13, 2.0])
         with pytest.raises(NotPositiveDefinite, match=r"\(stack index 1\)$"):
-            pdcore.make_pd(stack)
+            pdcore.make_pd_stack(stack)
 
     @pytest.mark.parametrize(
         "off", [(1.7e308, 1.7e308), (np.inf, -np.inf)], ids=["overflow", "inf_minus_inf"]
@@ -241,4 +241,4 @@ class TestStackedRejections:
         with pytest.raises(FloatingPointError):
             pdcore.make_pd(member)
         with pytest.raises(FloatingPointError):
-            pdcore.make_pd(_stack_with(member))
+            pdcore.make_pd_stack(_stack_with(member))
