@@ -25,7 +25,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import __version__, inference, klpriors, pdcore, verify, wishart
+from . import __version__, inference, klpriors, pdcore, wishart
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -279,6 +279,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # Imported here, so fit, kl and sample do not load the check suite.
+    from . import verify
+
     names = verify.DEFAULT_SUITE if args.suite == "all" else (args.suite,)
     reports = verify.run_suite(names, seed=_resolve_seed(args.seed))
     for rep in reports:

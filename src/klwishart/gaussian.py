@@ -25,11 +25,16 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Gaussian:
-    """Mean vector plus PDMatrix covariance."""
+    """Mean vector plus PDMatrix covariance; a `PDStack` covariance raises
+    DimensionMismatch (it goes in a `GaussianStack`)."""
 
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov: PDMatrix):
+        if cov.entries.ndim != 2:
+            raise DimensionMismatch(
+                f"Gaussian covariance has shape {cov.entries.shape}, expected (d, d)"
+            )
         self.mean = pdcore.finite_vector(mean, cov.dim, "Gaussian mean")
         self.cov = cov
 
@@ -65,10 +70,11 @@ def logpdf(g: Gaussian, x) -> float | np.ndarray:
     except FloatingPointError:
         # A NaN or infinite x ends here too; testing x only on this path
         # keeps the check off the per-point cost.
-        if not np.isfinite(x).all():
+        if not pdcore._all_finite(x):
             raise KLWishartError("point x must be finite") from None
         raise
-    maha = float(y @ y) if x.ndim == 1 else np.sum(y * y, axis=0)
+    # y.dot(y) is y @ y's dot product without matmul's ufunc dispatch.
+    maha = float(y.dot(y)) if x.ndim == 1 else np.sum(y * y, axis=0)
     return -0.5 * (g.dim * LOG_2PI + g.cov.logdet + maha)
 
 
@@ -80,7 +86,7 @@ def logpdf_stack(g: GaussianStack, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != g.dim:
         raise DimensionMismatch(f"points {x.shape} vs dim {g.dim}")
-    if not np.isfinite(x).all():
+    if not pdcore._all_finite(x):
         raise KLWishartError("point x must be finite")
     y = pdcore.whiten(g.cov, (x - g.mean[:, None, :]).swapaxes(1, 2))
     return -0.5 * (g.dim * LOG_2PI + g.cov.logdet[:, None] + np.sum(y * y, axis=1))

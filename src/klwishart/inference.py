@@ -50,7 +50,7 @@ def _observations(data) -> np.ndarray:
         if len({np.shape(row) for row in data}) > 1:
             raise DimensionMismatch("observations have inconsistent lengths") from exc
         raise
-    if not np.isfinite(x).all():
+    if not pdcore._all_finite(x):
         raise KLWishartError("observations must be finite")
     return x
 
@@ -147,9 +147,13 @@ def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
     return PosteriorKnownMean(wishart=wish, pseudo_total=total)
 
 
+@raise_fp_errors
 def map_known_mean(post: PosteriorKnownMean) -> PDMatrix:
-    """MAP precision (n + alpha) S-bar^{-1}; equals the Wishart mode."""
-    return pdcore.inverse(pdcore.make_pd(map_known_mean_cov(post)))
+    """MAP precision (n + alpha) S-bar^{-1} = (n + alpha) L^{-T} L^{-1}, from
+    the posterior scatter's own cached inverse factor, in one `make_pd`;
+    equals the Wishart mode."""
+    li = post.wishart.scale_inv.inverse_factor
+    return pdcore.make_pd(post.pseudo_total * (li.T @ li))
 
 
 @raise_fp_errors

@@ -9,7 +9,7 @@ This is the only module that factors or solves, and it does each once per
 matrix: `make_pd` factors A = L L', and `PDMatrix.inverse_factor` solves
 L X = I for L^{-1} on first use and keeps it.  Everything else is a
 product of the two: `whiten` (L^{-1} B), `solve` (L^{-T} L^{-1} B),
-`inverse`, `quad_form` and `PDMatrix.logdet`.
+`inverse` (`make_pd` of L^{-T} L^{-1}), `quad_form` and `PDMatrix.logdet`.
 
 A `PDStack` holds T matrices of one dimension, (T, d, d), factored by one
 `make_pd_stack` call: one Cholesky call for the whole stack, guarded by the
@@ -18,7 +18,9 @@ same rules as `make_pd`, member by member.  Its `factor` and
 Stacks have their own functions, `trace_product_stack` and
 `quad_form_stack`, which return (T,) arrays; `whiten` is a matmul and
 takes either.  `make_pd`, `solve`, `inverse`, `trace_product` and
-`quad_form` take one matrix, so a single matrix runs no stack code.
+`quad_form` take one matrix, so a single matrix runs no stack code;
+`trace_product` and `quad_form` raise DimensionMismatch for a stack from
+the shape check they make anyway.
 
 Every mean the library keeps, and every mean `mu` a density is evaluated
 at, enters through `finite_vector`, which checks its length and finiteness
@@ -32,7 +34,8 @@ versions and the public functions of `gaussian`, `wishart`, `klpriors` and
 `inference` that compute on caller values carry it as a decorator.
 np.linalg ignores it, so its one result per matrix, L^{-1}, is checked for
 non-finite values once, when it is cached.  `whiten`'s product obeys the
-caller's policy and is checked too.
+caller's policy and is checked too.  Each check on an array is one count
+of its finite entries (`_all_finite`).
 """
 
 from __future__ import annotations
@@ -150,10 +153,12 @@ def make_pd(raw) -> PDMatrix:
     falls below PIVOT_RTOL * max(diag).  Entries whose symmetrization
     overflows, or adds inf to -inf, raise FloatingPointError.
     """
-    a = np.array(raw, dtype=float)
+    a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or not 0 < a.shape[0] == a.shape[1]:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
-    a += a.T
+    # A new array, so the caller's is never changed; `a += a.T` would add
+    # overlapping operands, which numpy buffers through a copy.
+    a = a + a.T
     a *= 0.5
     try:
         factor = np.linalg.cholesky(a)
@@ -235,16 +240,23 @@ def finite_vectors(value, count: int, dim: int, name: str) -> np.ndarray:
     v = np.array(value, dtype=float)
     if v.shape != (count, dim):
         raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({count}, {dim})")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise KLWishartError(f"{name} must be finite")
     v.setflags(write=False)
     return v
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, with one reduction: counting the
+    finite entries costs about half of `np.isfinite(x).all()` at small
+    sizes."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _solved(x: np.ndarray) -> np.ndarray:
     # np.linalg runs its solvers with overflow ignored, out of reach of
     # raise_fp_errors; for finite operands a non-finite result is overflow.
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise FloatingPointError("non-finite value encountered in solve")
     return x
 
@@ -266,27 +278,33 @@ def solve(a: PDMatrix, b) -> np.ndarray:
     return a.inverse_factor.T @ whiten(a, b)
 
 
+@raise_fp_errors
 def inverse(a: PDMatrix) -> PDMatrix:
-    """A^{-1} as a fresh PDMatrix."""
-    return make_pd(solve(a, np.eye(a.dim)))
+    """A^{-1} = L^{-T} L^{-1} as a fresh PDMatrix, from the cached inverse
+    factor (bitwise `make_pd(solve(a, I))`)."""
+    li = a.inverse_factor
+    return make_pd(li.T @ li)
 
 
 @raise_fp_errors
 def trace_product(a: PDMatrix, b: PDMatrix) -> np.float64:
     """tr(A B) without forming the product matrix.  Like `quad_form` it
     returns a numpy scalar, so a caller's arithmetic on it obeys
-    raise_fp_errors."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"trace_product: {a.dim} vs {b.dim}")
+    raise_fp_errors.  Matrices of two dimensions, or a `PDStack`, raise
+    DimensionMismatch."""
+    if a.entries.shape != b.entries.shape:
+        raise DimensionMismatch(f"trace_product: {a.entries.shape} vs {b.entries.shape}")
     return np.sum(a.entries * b.entries)
 
 
 @raise_fp_errors
 def quad_form(v, a: PDMatrix) -> np.float64:
-    """v' A v; nonnegative, zero only at v = 0."""
+    """v' A v; nonnegative, zero only at v = 0.  A v that is not a vector
+    of A's dimension, or a `PDStack` A, raises DimensionMismatch."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
-        raise DimensionMismatch(f"quad_form: vector {v.shape} vs dim {a.dim}")
+    # A (d,) vector goes with a (d, d) matrix only.
+    if v.shape * 2 != a.entries.shape:
+        raise DimensionMismatch(f"quad_form: vector {v.shape} vs matrix {a.entries.shape}")
     w = a.factor.T @ v
     return w @ w
 

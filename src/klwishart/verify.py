@@ -22,7 +22,10 @@ a fixed stream order, then evaluate every trial at once: one `qr` and one
 (`kl_stack`, `logpdf_stack`, `wishart_log_pdf_stack` and the priors'
 `_stack` densities) on the stack of precisions or covariances.  The
 moments check inverts its draws with `_batch_inverse`, elementwise across
-blocks of draws, rather than one LAPACK call per small matrix.
+blocks of draws, rather than one LAPACK call per small matrix, and takes
+each moment's z-scores in one pass over a flat (n, d * d) view of the
+draws: the mean once, one centred copy, and the sums of squares by
+`np.einsum` with no second copy.
 """
 
 from __future__ import annotations
@@ -161,9 +164,15 @@ def check_moments(
     draws = wishart.sample_wishart_batch(w, samples, rng)
 
     def max_z(stack, exact):
-        emp = stack.mean(axis=0)
-        se = stack.std(axis=0, ddof=1) / np.sqrt(samples)
-        return float(np.max(np.abs(emp - exact) / se))
+        # Over a flat (n, d * d) view: the mean once, one centred copy, and
+        # its column sums of squares without a second copy; bitwise the
+        # mean and std(ddof=1) of the stack.
+        flat = stack.reshape(samples, -1)
+        emp = flat.mean(axis=0)
+        centred = flat - emp
+        std = np.sqrt(np.einsum("ij,ij->j", centred, centred) / (samples - 1))
+        se = std / np.sqrt(samples)
+        return float(np.max(np.abs(emp - exact.ravel()) / se))
 
     z_mean = max_z(draws, wishart.wishart_mean(w).entries)
     detail = f"d={d} nu={nu} N={samples}"

@@ -284,11 +284,12 @@ def iw_log_pdf(w: WishartParams, C: PDMatrix) -> float:
     normaliser of W(S^{-1}, nu).
 
     Evaluated from the factors without inverting C:
-    tr(C^{-1} S) = ||L_C^{-1} L_S||_F^2.
+    tr(C^{-1} S) = ||L_C^{-1} L_S||_F^2.  A C of another dimension, or a
+    `PDStack`, raises DimensionMismatch.
     """
     d = w.dim
-    if C.dim != d:
-        raise DimensionMismatch(f"iw_log_pdf: dims {C.dim} vs {d}")
+    if C.entries.shape != w.scale_inv.entries.shape:
+        raise DimensionMismatch(f"iw_log_pdf: {C.entries.shape} vs {w.scale_inv.entries.shape}")
     nu = w.shape
     trace = float(np.sum(pdcore.whiten(C, w.scale_inv.factor) ** 2))
     return float(

@@ -43,6 +43,21 @@ def test_import_loads_no_numpy_random_or_queue():
     assert res.stdout.strip() == "[]"
 
 
+def test_kl_does_not_import_the_check_suite(tmp_path):
+    # `verify` is imported by `check` alone; -X importtime lists every
+    # module the command loaded.
+    dist = tmp_path / "g.json"
+    dist.write_text('{"mean": [0.0], "cov": [[1.0]]}')
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "klwishart", "kl", str(dist), str(dist)],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
+    assert "klwishart.cli" in loaded
+    assert "klwishart.verify" not in loaded
+
+
 def test_only_pdcore_and_verify_use_linalg():
     # Factoring and solving live in pdcore; verify keeps its reference maths.
     src = Path(klwishart.__file__).parent

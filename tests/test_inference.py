@@ -85,6 +85,16 @@ def test_non_numeric_entry_raises_numpys_value_error(call):
         call([["a", "b"]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_observations_reject_one_non_finite_entry_last_in_a_large_array(bad):
+    x = np.zeros((100_000, 3))
+    x[-1, -1] = bad
+    with pytest.raises(KLWishartError, match="^observations must be finite$"):
+        inference._observations(x)
+    x[-1, -1] = 0.0
+    assert inference._observations(x) is x
+
+
 class TestPosteriorKnownMean:
     def test_hand_example(self):
         prior = KLWishartPrior(
@@ -185,6 +195,28 @@ class TestMapKnownMean:
         a = inference.map_known_mean(post).entries
         b = wishart.wishart_mode(post.wishart).entries
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_one_cholesky_and_the_scatters_own_inverse_factor(self, monkeypatch):
+        # One make_pd; the only solve is S-bar's cached L^{-1}, made once.
+        calls = []
+        for name in ("cholesky", "solve"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(12)
+        prior = KLWishartPrior(
+            mode_cov=random_pd(3, rng), pseudocount=2.0, known_mean=rng.standard_normal(3)
+        )
+        post = inference.posterior_known_mean(prior, rng.standard_normal((16, 3)))
+        for expected in (["solve", "cholesky"], ["cholesky"]):
+            calls.clear()
+            inference.map_known_mean(post)
+            assert calls == expected
+        assert post.wishart.scale_inv._inverse_factor is not None
 
     def test_iw_mode_factor(self):
         # inverse of the MAP precision differs from the IW mode by

@@ -108,6 +108,16 @@ def test_finite_vector_rejects_a_non_finite_entry_anywhere(bad, position):
         pdcore.finite_vector(v, 3, "v")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_solved_rejects_one_non_finite_entry_last_in_a_large_array(bad):
+    x = np.zeros((1000, 300))
+    x[-1, -1] = bad
+    with pytest.raises(FloatingPointError, match="^non-finite value encountered in solve$"):
+        pdcore._solved(x)
+    x[-1, -1] = 0.0
+    assert pdcore._solved(x) is x
+
+
 def _forward_substitution_quad(factor, v):
     """||L^{-1} v||^2 by forward substitution in long double: a reference
     for `whiten` that shares no code with it."""
@@ -191,6 +201,41 @@ class TestInverseFactor:
             inv = pdcore.inverse(a)
             assert inv.entries.tobytes() == product.entries.tobytes()
             assert inv.factor.tobytes() == product.factor.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_inverse_bitwise_make_pd_of_solve_against_identity(self, d):
+        # `inverse` multiplies the cached factor directly; `solve(a, I)` also
+        # multiplies by the identity, which must change no bit.
+        rng = np.random.default_rng(d + 80)
+        for _ in range(200):
+            a = random_pd(d, rng)
+            assert pdcore.inverse(a).entries.tobytes() == (
+                pdcore.make_pd(pdcore.solve(a, np.eye(d))).entries.tobytes()
+            )
+
+    def test_inverse_of_a_cached_factor_makes_one_cholesky_and_no_solve(self, monkeypatch):
+        calls = []
+        for name in ("cholesky", "solve"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        a = random_pd(3, np.random.default_rng(4))
+        a.inverse_factor
+        calls.clear()
+        pdcore.inverse(a)
+        assert calls == ["cholesky"]
+
+    @pytest.mark.parametrize("policy", ["raise", "ignore"])
+    def test_inverse_overflow_raises(self, policy):
+        # L^{-1} = 1e155 is finite; L^{-T} L^{-1} = 1e310 is not.
+        a = pdcore.make_pd([[1e-310]])
+        a.inverse_factor
+        with np.errstate(over=policy), pytest.raises(FloatingPointError):
+            pdcore.inverse(a)
 
     def test_quadratic_form_accurate_up_to_the_pivot_threshold(self):
         rng = np.random.default_rng(77)

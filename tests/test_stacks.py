@@ -4,7 +4,8 @@ takes one, against a loop of the single-matrix function over its members.
 T runs over 1, d and 7.  T == d is the case where mixing up the stack axis
 and a matrix axis raises no error, and T == 1 the one where numpy < 2 read
 a (d, d) right-hand side against a stack as a stack of vectors.  The
-single-matrix functions take no stack: `make_pd` rejects a (T, d, d) array.
+single-matrix functions take no stack: `make_pd` rejects a (T, d, d) array,
+and `trace_product`, `quad_form`, `iw_log_pdf` and `Gaussian` a PDStack.
 """
 
 import re
@@ -161,6 +162,41 @@ class TestDensities:
         assert type(klpriors.log_density_nw_prior(prior, mu[0], members[0])) is float
         with pytest.raises(DimensionMismatch):
             klpriors.log_density_nw_prior_stack(prior, mu[0], P)
+
+
+@pytest.fixture(params=COUNTS, ids=lambda t: f"T{t}")
+def stack_and_member(request):
+    """A PDStack of T 2 x 2 matrices and its first member as a PDMatrix."""
+    raw = _raw(2, _count(request.param, 2), np.random.default_rng(9))
+    return pdcore.make_pd_stack(raw), pdcore.make_pd(raw[0])
+
+
+class TestSingleMatrixFunctionsTakeNoStack:
+    """Each raises DimensionMismatch for a PDStack, where it once summed
+    every member into one number, returned another shape or built an
+    object."""
+
+    def test_trace_product(self, stack_and_member):
+        stack, member = stack_and_member
+        for a, b in ((stack, member), (member, stack)):
+            with pytest.raises(DimensionMismatch, match=r"^trace_product: \(.*\) vs \(.*\)$"):
+                pdcore.trace_product(a, b)
+
+    def test_quad_form(self, stack_and_member):
+        stack, _ = stack_and_member
+        for v in (np.ones(2), np.ones((2, 2))):
+            with pytest.raises(DimensionMismatch, match=r"^quad_form: vector"):
+                pdcore.quad_form(v, stack)
+
+    def test_iw_log_pdf(self, stack_and_member):
+        stack, member = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^iw_log_pdf: \(.*\) vs \(2, 2\)$"):
+            wishart.iw_log_pdf(wishart.WishartParams(member, 4.0), stack)
+
+    def test_gaussian(self, stack_and_member):
+        stack, _ = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^Gaussian covariance has shape \(\d+, 2, 2\)"):
+            Gaussian(np.zeros(2), stack)
 
 
 def _stack_with(member, at=2, count=4):

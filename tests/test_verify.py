@@ -139,6 +139,25 @@ class TestMoments:
         assert rep.passed
         assert "mean-only" in rep.detail
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_statistic_bitwise_mean_and_std_of_the_stack(self, seed):
+        # The reference, written out: the stack's mean and std(ddof=1) over
+        # the draws, as (d, d) arrays.
+        def max_z(stack, exact):
+            emp = stack.mean(axis=0)
+            se = stack.std(axis=0, ddof=1) / np.sqrt(len(stack))
+            return float(np.max(np.abs(emp - exact) / se))
+
+        r = rng(seed)
+        w = wishart.WishartParams(scale_inv=verify.random_pd(2, r), shape=5.0)
+        draws = wishart.sample_wishart_batch(w, 100_000, r)
+        expected = max(
+            max_z(draws, wishart.wishart_mean(w).entries),
+            max_z(verify._batch_inverse(draws), wishart.wishart_mean_inverse(w).entries),
+        )
+        rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(seed))
+        assert np.float64(rep.statistic).tobytes() == np.float64(expected).tobytes()
+
     def test_inverse_mean_factor_diagonal(self):
         # E[P]^-1 and E[P^-1] differ by the exact factor nu/(nu-d-1)
         d, nu = 2, 7.0
