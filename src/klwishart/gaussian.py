@@ -31,10 +31,7 @@ class Gaussian:
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov: PDMatrix):
-        if cov.entries.ndim != 2:
-            raise DimensionMismatch(
-                f"Gaussian covariance has shape {cov.entries.shape}, expected (d, d)"
-            )
+        pdcore._one_matrix(cov, "Gaussian covariance")
         self.mean = pdcore.finite_vector(mean, cov.dim, "Gaussian mean")
         self.cov = cov
 

@@ -55,6 +55,7 @@ class KLWishartPrior:
     __slots__ = ("mode_cov", "pseudocount", "known_mean", "_wishart")
 
     def __init__(self, mode_cov: PDMatrix, pseudocount: float, known_mean):
+        pdcore._one_matrix(mode_cov, "mode_cov")
         self.known_mean = pdcore.finite_vector(known_mean, mode_cov.dim, "known_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
@@ -75,6 +76,7 @@ class KLNormalWishartPrior:
     __slots__ = ("prior_mean", "mode_cov", "pseudocount", "_wishart")
 
     def __init__(self, prior_mean, mode_cov: PDMatrix, pseudocount: float):
+        pdcore._one_matrix(mode_cov, "mode_cov")
         self.prior_mean = pdcore.finite_vector(prior_mean, mode_cov.dim, "prior_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
@@ -130,17 +132,21 @@ def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
     return wishart_log_pdf(to_wishart(p), P)
 
 
+def _log_conditional(p: KLNormalWishartPrior, P, quad):
+    """log N(mu | m, (alpha P)^{-1}) from P's own factor, with
+    quad = (mu - m)' P (mu - m): the one copy of the formula, for one P or
+    for each member of a stack."""
+    d, alpha = p.dim, p.pseudocount
+    return -0.5 * (d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * quad)
+
+
 @raise_fp_errors
 def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     """Joint log prior density of (mu, P); equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
     mu = pdcore.finite_vector(mu, p.dim, "mu")
-    wish, m, alpha = to_normal_wishart(p)
-    d = p.dim
-    # log N(mu | m, (alpha P)^{-1}), from P's own factor.
-    log_cond = -0.5 * (
-        d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form(mu - m, P)
-    )
+    wish, m, _ = to_normal_wishart(p)
+    log_cond = _log_conditional(p, P, pdcore.quad_form(mu - m, P))
     return float(wishart_log_pdf(wish, P) + log_cond)
 
 
@@ -154,9 +160,6 @@ def log_density_nw_prior_stack(p: KLNormalWishartPrior, mu, P: PDStack) -> np.nd
     """`log_density_nw_prior` of each pair (mu_k, P_k) of a (T, d) stack of
     means and a stack P, a (T,) array."""
     mu = pdcore.finite_vectors(mu, len(P), p.dim, "mu")
-    wish, m, alpha = to_normal_wishart(p)
-    d = p.dim
-    log_cond = -0.5 * (
-        d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * pdcore.quad_form_stack(mu - m, P)
-    )
+    wish, m, _ = to_normal_wishart(p)
+    log_cond = _log_conditional(p, P, pdcore.quad_form_stack(mu - m, P))
     return wishart_log_pdf_stack(wish, P) + log_cond

@@ -13,14 +13,15 @@ product of the two: `whiten` (L^{-1} B), `solve` (L^{-T} L^{-1} B),
 
 A `PDStack` holds T matrices of one dimension, (T, d, d), factored by one
 `make_pd_stack` call: one Cholesky call for the whole stack, guarded by the
-same rules as `make_pd`, member by member.  Its `factor` and
+same rules as `make_pd` and rejected with `make_pd`'s message for its first
+failing member.  It shares `PDMatrix`'s body: its `factor` and
 `inverse_factor` keep the leading axis and its `logdet` is a (T,) array.
 Stacks have their own functions, `trace_product_stack` and
 `quad_form_stack`, which return (T,) arrays; `whiten` is a matmul and
 takes either.  `make_pd`, `solve`, `inverse`, `trace_product` and
-`quad_form` take one matrix, so a single matrix runs no stack code;
-`trace_product` and `quad_form` raise DimensionMismatch for a stack from
-the shape check they make anyway.
+`quad_form` take one matrix, so a single matrix runs no stack code: each
+raises DimensionMismatch for a stack, from the shape check it makes
+anyway or from `_one_matrix`.
 
 Every mean the library keeps, and every mean `mu` a density is evaluated
 at, enters through `finite_vector`, which checks its length and finiteness
@@ -49,24 +50,26 @@ from .errors import DimensionMismatch, KLWishartError, NotPositiveDefinite
 # Relative pivot threshold: L[i,i]^2 must exceed PIVOT_RTOL * max diagonal.
 PIVOT_RTOL = 1e-12
 
-# numpy's errstate is re-entrant as a decorator: each call of a decorated
-# function sets the policy and restores the caller's on return.
+# On numpy >= 2 errstate is re-entrant as a decorator: each call of a
+# decorated function, nested or not, sets the policy and restores the
+# caller's on return.
 raise_fp_errors = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-class PDMatrix:
-    """Immutable symmetric positive-definite matrix with cached Cholesky factor.
+class _Factored:
+    """A symmetric matrix, or a stack of them, with its lower Cholesky factor
+    cached at construction: the body `PDMatrix` and `PDStack` share.
 
-    Construct via :func:`make_pd`; the constructor assumes `entries` is
-    already symmetric.  `logdet` and `inverse_factor` are computed from the
-    factor on first access and kept: densities read them many times per
-    matrix, and an immutable matrix's derived quantities never go stale.
+    The constructor assumes `entries` is already symmetric.  The derived
+    quantities are computed from the factor on first access and kept:
+    densities read them many times per matrix, and an immutable matrix's
+    derived quantities never go stale.
     """
 
     __slots__ = ("dim", "entries", "factor", "_logdet", "_inverse_factor")
 
     def __init__(self, entries: np.ndarray, factor: np.ndarray):
-        self.dim = entries.shape[0]
+        self.dim = entries.shape[-1]
         self.entries = entries
         self.factor = factor
         self._logdet = None
@@ -74,16 +77,14 @@ class PDMatrix:
         entries.setflags(write=False)
         factor.setflags(write=False)
 
-    @property
-    def logdet(self) -> float:
-        """log|A| = 2 sum_i log L[i, i]."""
-        if self._logdet is None:
-            self._logdet = 2.0 * float(np.log(np.diag(self.factor)).sum())
-        return self._logdet
+    def _log_det(self):
+        """log|A| = 2 sum_i log L[i, i], over the last two axes."""
+        return 2.0 * np.log(np.diagonal(self.factor, axis1=-2, axis2=-1)).sum(axis=-1)
 
     @property
     def inverse_factor(self) -> np.ndarray:
-        """L^{-1}, read-only: one forward solve L X = I on first access.  A
+        """L^{-1}, read-only: one forward solve L X = I on first access (for
+        a stack, one solve of every member against the one identity).  A
         non-finite result raises FloatingPointError and is not kept."""
         if self._inverse_factor is None:
             inv = _solved(np.linalg.solve(self.factor, np.eye(self.dim)))
@@ -91,56 +92,42 @@ class PDMatrix:
             self._inverse_factor = inv
         return self._inverse_factor
 
+
+class PDMatrix(_Factored):
+    """Immutable symmetric positive-definite matrix with cached Cholesky
+    factor.  Construct via :func:`make_pd`."""
+
+    __slots__ = ()
+
+    @property
+    def logdet(self) -> float:
+        """log|A| = 2 sum_i log L[i, i]."""
+        if self._logdet is None:
+            self._logdet = float(self._log_det())
+        return self._logdet
+
     def __repr__(self) -> str:
         return f"PDMatrix(dim={self.dim}, entries={self.entries.tolist()})"
 
 
-class PDStack:
+class PDStack(_Factored):
     """Immutable stack of T symmetric positive-definite d x d matrices with
-    their cached Cholesky factors: `entries` and `factor` are (T, d, d).
+    their cached Cholesky factors: `entries`, `factor` and `inverse_factor`
+    are (T, d, d).  Construct via :func:`make_pd_stack`."""
 
-    Construct via :func:`make_pd_stack`.  `logdet`, a read-only (T,) array,
-    and `inverse_factor` are computed on first access and kept, as for a
-    `PDMatrix`.
-    """
-
-    __slots__ = ("dim", "entries", "factor", "_logdet", "_inverse_factor")
-
-    def __init__(self, entries: np.ndarray, factor: np.ndarray):
-        self.dim = entries.shape[2]
-        self.entries = entries
-        self.factor = factor
-        self._logdet = None
-        self._inverse_factor = None
-        entries.setflags(write=False)
-        factor.setflags(write=False)
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def logdet(self) -> np.ndarray:
-        """log|A_k| = 2 sum_i log L_k[i, i] for each member k."""
+        """log|A_k| for each member k, a read-only (T,) array."""
         if self._logdet is None:
-            logdet = 2.0 * np.log(np.diagonal(self.factor, axis1=1, axis2=2)).sum(axis=1)
+            logdet = self._log_det()
             logdet.setflags(write=False)
             self._logdet = logdet
         return self._logdet
-
-    @property
-    def inverse_factor(self) -> np.ndarray:
-        """L_k^{-1} for each member, read-only: one forward solve of the
-        whole stack on first access.  A non-finite result raises
-        FloatingPointError and is not kept."""
-        if self._inverse_factor is None:
-            # numpy < 2 reads a (d, d) right-hand side against a stack as a
-            # stack of vectors; one identity per member is read alike by
-            # every numpy.
-            eye = np.broadcast_to(np.eye(self.dim), self.factor.shape)
-            inv = _solved(np.linalg.solve(self.factor, eye))
-            inv.setflags(write=False)
-            self._inverse_factor = inv
-        return self._inverse_factor
 
 
 @raise_fp_errors
@@ -184,40 +171,34 @@ def make_pd_stack(raw) -> PDStack:
     """`make_pd` of each member of a non-empty (T, d, d) stack, with one
     Cholesky call for all of them.
 
-    The same steps and guards as `make_pd`, the guards as reductions over
-    the leading axis: DimensionMismatch for another shape, and each
-    NotPositiveDefinite message names the first failing member's index.
+    DimensionMismatch for another shape.  Each member is symmetrised as
+    `make_pd` symmetrises it, bit for bit, and `make_pd`'s guards decide
+    for the whole stack at once; a rejected stack raises the
+    NotPositiveDefinite that `make_pd` raises for its first failing member,
+    with that member's index appended.
     """
-    a = np.array(raw, dtype=float)
+    a = np.asarray(raw, dtype=float)
     if a.ndim != 3 or not (len(a) and 0 < a.shape[1] == a.shape[2]):
         raise DimensionMismatch(
             f"expected a non-empty (T, d, d) stack of square matrices, got shape {a.shape}"
         )
-    a += a.swapaxes(1, 2)
+    a = a + a.swapaxes(1, 2)
     a *= 0.5
     try:
         factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        # A stacked Cholesky does not say which member failed.
+        if not _all_finite(factor):
+            raise NotPositiveDefinite
+        low = np.diagonal(factor, axis1=1, axis2=2).min(axis=1)
+        if (low * low <= PIVOT_RTOL * np.diagonal(a, axis1=1, axis2=2).max(axis=1)).any():
+            raise NotPositiveDefinite
+    except (np.linalg.LinAlgError, NotPositiveDefinite):
+        # One copy of each message: make_pd's, for the first member it rejects.
         for i, member in enumerate(a):
             try:
-                np.linalg.cholesky(member)
-            except np.linalg.LinAlgError:
+                make_pd(member)
+            except NotPositiveDefinite as exc:
                 raise NotPositiveDefinite(f"{exc} (stack index {i})") from exc
         raise
-    finite = np.isfinite(factor).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NotPositiveDefinite(f"non-finite entries in Cholesky factor (stack index {i})")
-    low = np.diagonal(factor, axis1=1, axis2=2).min(axis=1)
-    pivot = low * low
-    rejected = pivot <= PIVOT_RTOL * np.diagonal(a, axis1=1, axis2=2).max(axis=1)
-    if rejected.any():
-        i = int(np.argmax(rejected))
-        raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {pivot[i]:.3e} below relative "
-            f"threshold {PIVOT_RTOL:g} (stack index {i})"
-        )
     return PDStack(a, factor)
 
 
@@ -261,6 +242,12 @@ def _solved(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _one_matrix(a: PDMatrix, name: str) -> None:
+    """DimensionMismatch for a `PDStack` where one matrix goes."""
+    if a.entries.ndim != 2:
+        raise DimensionMismatch(f"{name} has shape {a.entries.shape}, expected (d, d)")
+
+
 def whiten(a: PDMatrix, b) -> np.ndarray:
     """L^{-1} B for A = L L': the cached inverse factor applied to B, so
     ||L^{-1} v||^2 = v' A^{-1} v without forming A^{-1}.  For a `PDStack`
@@ -274,14 +261,18 @@ def whiten(a: PDMatrix, b) -> np.ndarray:
 
 @raise_fp_errors
 def solve(a: PDMatrix, b) -> np.ndarray:
-    """A^{-1} B = L^{-T} (L^{-1} B): the whitened B times the cached L^{-1}'."""
+    """A^{-1} B = L^{-T} (L^{-1} B): the whitened B times the cached L^{-1}'.
+    A `PDStack` A raises DimensionMismatch."""
+    _one_matrix(a, "solve: matrix")
     return a.inverse_factor.T @ whiten(a, b)
 
 
 @raise_fp_errors
 def inverse(a: PDMatrix) -> PDMatrix:
     """A^{-1} = L^{-T} L^{-1} as a fresh PDMatrix, from the cached inverse
-    factor (bitwise `make_pd(solve(a, I))`)."""
+    factor (bitwise `make_pd(solve(a, I))`).  A `PDStack` raises
+    DimensionMismatch."""
+    _one_matrix(a, "inverse: matrix")
     li = a.inverse_factor
     return make_pd(li.T @ li)
 

@@ -109,7 +109,7 @@ def check_proportionality(
     p, cov, mu2 = _random_trials(d, trials, rng)
     stat = _spread(
         klpriors.log_density_wishart_prior_stack(prior_w, p)
-        + alpha * gaussian.kl_stack(Gaussian(mu, sigma), GaussianStack(np.broadcast_to(mu, mu2.shape), cov)),
+        + alpha * gaussian.kl_stack(Gaussian(mu, sigma), GaussianStack(np.tile(mu, (trials, 1)), cov)),
         klpriors.log_density_nw_prior_stack(prior_nw, mu2, p)
         + alpha * gaussian.kl_stack(Gaussian(m, sigma), GaussianStack(mu2, cov)),
     )
@@ -140,7 +140,7 @@ def check_conjugacy(
     post_nw_prior = inference.posterior_unknown(prior_nw, stats).as_prior()
 
     p, cov, mu2 = _random_trials(d, trials, rng)
-    known = GaussianStack(np.broadcast_to(mu_known, mu2.shape), cov)
+    known = GaussianStack(np.tile(mu_known, (trials, 1)), cov)
     stat = _spread(
         wishart.wishart_log_pdf_stack(post_w.wishart, p)
         - klpriors.log_density_wishart_prior_stack(prior_w, p)

@@ -65,6 +65,7 @@ class WishartParams:
     __slots__ = ("scale_inv", "shape", "_log_normaliser")
 
     def __init__(self, scale_inv: PDMatrix, shape: float):
+        pdcore._one_matrix(scale_inv, "Wishart scale_inv")
         validate_shape(shape, scale_inv.dim)
         self.scale_inv = scale_inv
         # A numpy scalar, so arithmetic on the shape obeys raise_fp_errors.
@@ -95,29 +96,23 @@ class WishartParams:
         return pdcore.inverse(self.scale_inv)
 
 
+def _log_pdf(w: WishartParams, logdet, trace):
+    """log W(P | V, nu) from log|P| and tr(P S): the one copy of the
+    formula, for one P or for each member of a stack."""
+    return (w.shape - w.dim - 1) / 2.0 * logdet - 0.5 * trace - w.log_normaliser
+
+
 @raise_fp_errors
 def wishart_log_pdf(w: WishartParams, P: PDMatrix) -> float:
     """log W(P | V, nu) with V = S^{-1}; `trace_product` rejects a P of
     another dimension."""
-    d = w.dim
-    nu = w.shape
-    return float(
-        (nu - d - 1) / 2.0 * P.logdet
-        - 0.5 * pdcore.trace_product(P, w.scale_inv)
-        - w.log_normaliser
-    )
+    return float(_log_pdf(w, P.logdet, pdcore.trace_product(P, w.scale_inv)))
 
 
 @raise_fp_errors
 def wishart_log_pdf_stack(w: WishartParams, P: PDStack) -> np.ndarray:
     """`wishart_log_pdf` of each member of a stack P, a (T,) array."""
-    d = w.dim
-    nu = w.shape
-    return (
-        (nu - d - 1) / 2.0 * P.logdet
-        - 0.5 * pdcore.trace_product_stack(P, w.scale_inv)
-        - w.log_normaliser
-    )
+    return _log_pdf(w, P.logdet, pdcore.trace_product_stack(P, w.scale_inv))
 
 
 @raise_fp_errors

@@ -110,11 +110,20 @@ def test_overflow_raises_floating_point_error(call):
 
 
 def test_guard_restores_the_callers_error_state():
+    # wishart_log_pdf calls the guarded trace_product, and
+    # posterior_known_mean the guarded make_pd: a nested entry must leave the
+    # caller's state too, raised or returned.  (numpy 1.x's errstate kept one
+    # saved state per instance, so there the outer exit restored "raise".)
     before = np.geterr()
-    with pytest.raises(FloatingPointError):
-        _OVERFLOW["kl"]()
-    assert np.geterr() == before
+    for name in ("kl", "wishart_log_pdf_trace", "posterior_known_mean"):
+        with pytest.raises(FloatingPointError):
+            _OVERFLOW[name]()
+        assert np.geterr() == before, name
     gaussian.kl(Gaussian([0.0], _one(2.0)), Gaussian([1.0], _one(1.0)))
+    assert np.geterr() == before
+    wishart.wishart_log_pdf(WishartParams(pd(I2), 3.0), pd(I2))
+    assert np.geterr() == before
+    inference.posterior_known_mean(KLWishartPrior(pd(I2), 1.0, [0.0, 0.0]), DATA)
     assert np.geterr() == before
 
 

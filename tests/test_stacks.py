@@ -2,10 +2,10 @@
 takes one, against a loop of the single-matrix function over its members.
 
 T runs over 1, d and 7.  T == d is the case where mixing up the stack axis
-and a matrix axis raises no error, and T == 1 the one where numpy < 2 read
-a (d, d) right-hand side against a stack as a stack of vectors.  The
+and a matrix axis raises no error, and T == 1 the smallest stack.  The
 single-matrix functions take no stack: `make_pd` rejects a (T, d, d) array,
-and `trace_product`, `quad_form`, `iw_log_pdf` and `Gaussian` a PDStack.
+and `solve`, `inverse`, `trace_product`, `quad_form`, `iw_log_pdf`,
+`WishartParams`, both priors and `Gaussian` a PDStack.
 """
 
 import re
@@ -198,6 +198,31 @@ class TestSingleMatrixFunctionsTakeNoStack:
         with pytest.raises(DimensionMismatch, match=r"^Gaussian covariance has shape \(\d+, 2, 2\)"):
             Gaussian(np.zeros(2), stack)
 
+    def test_solve(self, stack_and_member):
+        stack, _ = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^solve: matrix has shape \(\d+, 2, 2\)"):
+            pdcore.solve(stack, np.ones(2))
+
+    def test_inverse(self, stack_and_member):
+        stack, _ = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^inverse: matrix has shape \(\d+, 2, 2\)"):
+            pdcore.inverse(stack)
+
+    def test_wishart_params(self, stack_and_member):
+        stack, _ = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^Wishart scale_inv has shape \(\d+, 2, 2\)"):
+            wishart.WishartParams(stack, 5.0)
+
+    def test_kl_wishart_prior(self, stack_and_member):
+        stack, _ = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^mode_cov has shape \(\d+, 2, 2\)"):
+            klpriors.KLWishartPrior(stack, 1.0, np.zeros(2))
+
+    def test_kl_normal_wishart_prior(self, stack_and_member):
+        stack, _ = stack_and_member
+        with pytest.raises(DimensionMismatch, match=r"^mode_cov has shape \(\d+, 2, 2\)"):
+            klpriors.KLNormalWishartPrior(np.zeros(2), stack, 1.0)
+
 
 def _stack_with(member, at=2, count=4):
     """`count` 2 x 2 identities with `member` at index `at`."""
@@ -267,6 +292,19 @@ class TestStackedRejections:
         stack[1] = np.diag([1e-13, 2.0])
         with pytest.raises(NotPositiveDefinite, match=r"\(stack index 1\)$"):
             pdcore.make_pd_stack(stack)
+
+    @pytest.mark.parametrize(
+        "later", [[[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]], ids=["indefinite", "infinite"]
+    )
+    def test_small_pivot_before_a_failed_factor_is_named(self, later):
+        # The stacked Cholesky fails, or its factor is not finite, only at
+        # index 3; the first member make_pd rejects is still index 1.
+        small = np.diag([1.0, 1e-14])
+        stack = _stack_with(later, at=3)
+        stack[1] = small
+        with pytest.raises(NotPositiveDefinite) as info:
+            pdcore.make_pd_stack(stack)
+        assert str(info.value) == f"{_single_message(small)} (stack index 1)"
 
     @pytest.mark.parametrize(
         "off", [(1.7e308, 1.7e308), (np.inf, -np.inf)], ids=["overflow", "inf_minus_inf"]

@@ -129,6 +129,52 @@ class TestStackedEvaluation:
         assert counts[0] == counts[1] and 0 < len(counts[1]) <= 4
 
 
+def _single_and_stacked(density):
+    """`density` of three (mu, P) pairs, one call per pair and one stacked
+    call: `wishart_log_pdf` or `log_density_nw_prior`."""
+    r = rng(30)
+    P = pdcore.make_pd_stack([verify.random_pd(2, r).entries for _ in range(3)])
+    members = [pdcore.make_pd(m) for m in P.entries]
+    mu = r.standard_normal((3, 2))
+    if density == "wishart_log_pdf":
+        w = wishart.WishartParams(verify.random_pd(2, r), 4.5)
+        return [wishart.wishart_log_pdf(w, m) for m in members], wishart.wishart_log_pdf_stack(w, P)
+    prior = klpriors.KLNormalWishartPrior(r.standard_normal(2), verify.random_pd(2, r), 0.7)
+    return (
+        [klpriors.log_density_nw_prior(prior, x, m) for x, m in zip(mu, members)],
+        klpriors.log_density_nw_prior_stack(prior, mu, P),
+    )
+
+
+class TestOneCopyOfEachPriorFormula:
+    """Negative controls on the one copy of each prior formula: a wrong term
+    in it moves the single function and its stack version alike, and the
+    default suite reports a failure."""
+
+    @pytest.mark.parametrize(
+        "module, name, wrong, density",
+        [
+            (wishart, "_log_pdf", lambda f: lambda w, logdet, trace: f(w, logdet, 1.01 * trace), "wishart_log_pdf"),
+            (
+                klpriors,
+                "_log_conditional",
+                lambda f: lambda p, P, quad: f(p, P, quad) + 0.5 * P.logdet,
+                "log_density_nw_prior",
+            ),
+        ],
+        ids=["wishart_scaled_trace", "conditional_without_logdet"],
+    )
+    def test_wrong_term_moves_both_and_fails_the_suite(self, monkeypatch, module, name, wrong, density):
+        single, stacked = _single_and_stacked(density)
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        wrong_single, wrong_stacked = _single_and_stacked(density)
+        assert not np.isclose(wrong_single, single).any()
+        assert not np.isclose(wrong_stacked, stacked).any()
+        np.testing.assert_allclose(wrong_stacked, wrong_single, rtol=1e-13)
+        reports = verify.run_suite(verify.DEFAULT_SUITE, seed=0)
+        assert not all(r.passed for r in reports)
+
+
 class TestMoments:
     def test_passes_with_inverse(self):
         rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(7))
