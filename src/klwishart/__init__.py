@@ -38,7 +38,6 @@ from .wishart import (
     WishartParams,
     iw_log_pdf,
     iw_mode,
-    sample_wishart,
     sample_wishart_batch,
     validate_shape,
     wishart_log_pdf,

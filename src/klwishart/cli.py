@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import platform
 import sys
@@ -268,14 +269,87 @@ def cmd_sample(args) -> int:
     w = _load_json(args.dist, _wishart)
     rng = np.random.default_rng(_resolve_seed(args.seed))
     draws = wishart.sample_wishart_batch(w, args.n, rng)
-    rows = draws.reshape(args.n, w.dim * w.dim)
     with _output(args.output) as out:
-        # tolist() yields Python floats, whose repr is the shortest string
-        # that round-trips; converting in blocks bounds the memory it holds.
-        for start in range(0, args.n, _WRITE_BLOCK_ROWS):
-            block = rows[start : start + _WRITE_BLOCK_ROWS].tolist()
-            out.writelines(",".join(map(repr, row)) + "\n" for row in block)
+        _write_draws(out, draws)
     return 0
+
+
+def _csv_lines(block: np.ndarray):
+    """The CSV lines of a (b, d, d) block of draws, the d*d entries of each
+    draw in row-major order.  tolist() yields Python floats, whose repr is
+    the shortest string that round-trips.  Each draw is symmetric bit for
+    bit, so repr runs once per lower-triangle value, and one itemgetter
+    lays out each row's d*d fields from those strings."""
+    d = block.shape[1]
+    rows, cols = np.tril_indices(d)
+    slot = np.empty((d, d), dtype=np.intp)
+    slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
+    layout = operator.itemgetter(*slot.ravel().tolist())
+    # At d = 1 layout returns the bare string, which % takes as its one field.
+    line = ",".join(["%s"] * (d * d)) + "\n"
+    return (line % layout(list(map(repr, values))) for values in block[:, rows, cols].tolist())
+
+
+def _write_draws(out, draws: np.ndarray) -> None:
+    """Write the draws to out as CSV, in blocks of _WRITE_BLOCK_ROWS.
+
+    With two or more blocks, and where os.fork exists, one forked child
+    formats the odd-numbered blocks while this process formats the even
+    ones; converting block by block bounds the memory either holds.  The
+    child sends each block back through a pipe as a frame, an 8-byte length
+    and then the UTF-8 text, and this process writes every block in order,
+    so the bytes do not depend on the child.  A short frame or a failed
+    child raises OSError.  The pipe is closed before the child is reaped,
+    so a child blocked on a full pipe gets EPIPE and exits.
+    """
+    blocks = [draws[s : s + _WRITE_BLOCK_ROWS] for s in range(0, len(draws), _WRITE_BLOCK_ROWS)]
+    reader = None
+    if len(blocks) > 1 and hasattr(os, "fork"):
+        fd_read, fd_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _format_in_child(fd_read, fd_write, blocks[1::2])
+        os.close(fd_write)
+        reader = open(fd_read, "rb")
+    try:
+        for k, block in enumerate(blocks):
+            if reader is not None and k % 2:
+                out.write(_read_frame(reader))
+            else:
+                out.writelines(_csv_lines(block))
+    finally:
+        if reader is not None:
+            reader.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if reader is not None and status != 0:
+        raise OSError(f"sample: the formatter process exited with status {status}")
+
+
+def _format_in_child(fd_read: int, fd_write: int, blocks: list) -> None:
+    """The forked child: write one frame per block to fd_write, then leave
+    by os._exit, with status 0 on success and 1 on any exception.  It calls
+    no BLAS, and it never returns into the caller's stack or flushes a file
+    object it inherited."""
+    status = 1
+    try:
+        os.close(fd_read)
+        with open(fd_write, "wb") as pipe:
+            for block in blocks:
+                text = "".join(_csv_lines(block)).encode()
+                pipe.write(len(text).to_bytes(8, "little"))
+                pipe.write(text)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_frame(reader) -> str:
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    text = reader.read(size) if len(head) == 8 else b""
+    if len(head) != 8 or len(text) != size:
+        raise OSError("sample: the formatter process ended early")
+    return text.decode()
 
 
 def cmd_check(args) -> int:

@@ -266,11 +266,6 @@ class _Draws:
             raise self.error
 
 
-def sample_wishart(w: WishartParams, rng: np.random.Generator) -> PDMatrix:
-    """Single Bartlett draw; PD with probability 1."""
-    return pdcore.make_pd(sample_wishart_batch(w, 1, rng)[0])
-
-
 @raise_fp_errors
 def iw_log_pdf(w: WishartParams, C: PDMatrix) -> float:
     """log density of C = P^{-1} for P ~ w = W(S^{-1}, nu), that is

@@ -16,7 +16,7 @@ from klwishart.cli import main, read_csv
 
 def run_cli(args, env=None):
     cmd = [sys.executable, "-m", "klwishart"] + args
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
 
 
 def write_csv(path, data, header=None):
@@ -465,6 +465,70 @@ class TestSample:
                      "--seed", "7", "--output", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "6cca4bea1a4c90e06444045af41c4aef96d07e70251cf190873930ee77464fdd"
+
+    def per_element_sha256(self, scatter, shape, n, seed):
+        # The writer before one repr per distinct value: the reference bytes.
+        d = len(scatter)
+        w = wishart.WishartParams(scale_inv=pdcore.make_pd(scatter), shape=shape)
+        draws = wishart.sample_wishart_batch(w, n, np.random.default_rng(seed))
+        text = "".join(",".join(map(repr, row)) + "\n" for row in draws.reshape(n, d * d).tolist())
+        # Digests keep a failure quick: pytest's diff of megabytes of text is not.
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "n", [0, 1, cli._WRITE_BLOCK_ROWS, cli._WRITE_BLOCK_ROWS + 1, 3 * cli._WRITE_BLOCK_ROWS + 5]
+    )
+    def test_bytes_match_per_element_writer(self, tmp_path, d, n):
+        # No child (n <= one block), two blocks, and an odd block count.
+        scatter = (np.eye(d) + 0.2 * np.ones((d, d))).tolist()
+        out = tmp_path / "draws.csv"
+        assert main(["sample", self.dist(tmp_path, scatter, d + 2.5), "-n", str(n),
+                     "--seed", "5", "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.per_element_sha256(scatter, d + 2.5, n, 5)
+
+    def test_stdout_bytes_match_per_element_writer(self, tmp_path):
+        scatter, n = [[2.0, 0.3], [0.3, 1.0]], cli._WRITE_BLOCK_ROWS + 1
+        res = run_cli(["sample", self.dist(tmp_path, scatter, 4.5), "-n", str(n),
+                       "--seed", "9", "--output", "-"])
+        assert res.returncode == 0 and res.stderr == ""
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == self.per_element_sha256(scatter, 4.5, n, 9)
+
+    def test_formatter_child_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        pid, csv_lines = os.getpid(), cli._csv_lines
+
+        def fail_in_child(block):
+            if os.getpid() != pid:
+                raise RuntimeError("formatter failed")
+            return csv_lines(block)
+
+        monkeypatch.setattr(cli, "_csv_lines", fail_in_child)
+        out = tmp_path / "draws.csv"
+        code = main(["sample", self.dist(tmp_path, [[1.0]], 3.0), "-n",
+                     str(2 * cli._WRITE_BLOCK_ROWS), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: sample: ") and len(err.splitlines()) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closed_stdout_exits_1_without_hanging(self, tmp_path):
+        # `sample ... | head -c 100`: the reader goes away mid-write.
+        d = self.dist(tmp_path, [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]], 5.5)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "klwishart", "sample", d, "-n", "100000", "--seed", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_row_shape(self, tmp_path):
         d = self.dist(tmp_path, [[1.0, 0.0], [0.0, 1.0]], 5.0)

@@ -43,6 +43,26 @@ def test_import_loads_no_numpy_random_or_queue():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_loads_no_cli():
+    code = "import sys, klwishart; print('klwishart.cli' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_cli_loads_no_process_pool():
+    # sample's formatter child is a bare os.fork; subprocess,
+    # multiprocessing and concurrent.futures would lengthen every start-up.
+    code = (
+        "import sys, klwishart.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('subprocess', 'multiprocessing', 'concurrent')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_kl_does_not_import_the_check_suite(tmp_path):
     # `verify` is imported by `check` alone; -X importtime lists every
     # module the command loaded.

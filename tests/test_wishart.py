@@ -232,13 +232,13 @@ class TestSampling:
         rng = np.random.default_rng(53)
         w = wp(np.eye(3), 2.5)  # nu < d + 1: still valid for sampling
         for _ in range(20):
-            s = wishart.sample_wishart(w, rng)
+            s = pdcore.make_pd(wishart.sample_wishart_batch(w, 1, rng)[0])
             assert isinstance(s, pdcore.PDMatrix)
 
     def test_seed_determinism(self):
         w = wp(np.eye(2), 4.2)
-        a = wishart.sample_wishart(w, np.random.default_rng(99)).entries
-        b = wishart.sample_wishart(w, np.random.default_rng(99)).entries
+        a = pdcore.make_pd(wishart.sample_wishart_batch(w, 1, np.random.default_rng(99))[0]).entries
+        b = pdcore.make_pd(wishart.sample_wishart_batch(w, 1, np.random.default_rng(99))[0]).entries
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("d", [1, 3, 10])
