@@ -1,10 +1,11 @@
 """Multivariate Gaussian: log-density, entropy, closed-form KL, expected
 log-likelihood.
 
-Gaussians are stored in covariance form.  Densities and KL apply the
-covariance's cached inverse Cholesky factor L^{-1} (`pdcore.whiten`), so
-none of them forms the inverse covariance.  All computation stays in the
-log domain.
+Gaussians are stored in covariance form.  `_log_density` and `_kl` are the
+one copy of the log-density and of the KL, which every caller feeds its own
+terms.  Densities and KL apply the covariance's cached inverse Cholesky
+factor L^{-1} (`pdcore.whiten`), so none of them forms the inverse
+covariance.  All computation stays in the log domain.
 
 A `GaussianStack` holds T Gaussians: a (T, d) mean with a `pdcore.PDStack`
 covariance.  `logpdf_stack` and `kl_stack` evaluate every member in one
@@ -54,6 +55,18 @@ class GaussianStack:
         return self.cov.dim
 
 
+def _log_density(d: int, logdet, maha):
+    """-(1/2)(d log 2 pi + log|cov| + maha): the one copy of the Gaussian
+    log-density, for one value or an array of them."""
+    return -0.5 * (d * LOG_2PI + logdet + maha)
+
+
+def _kl(p: Gaussian, q, trace, maha):
+    """(1/2)(tr(cov_q^{-1} cov_p) + maha - d + log|cov_q| - log|cov_p|): the
+    one copy of the Gaussian KL, for one q or for each member of a stack."""
+    return 0.5 * (trace + maha - p.dim + q.cov.logdet - p.cov.logdet)
+
+
 @raise_fp_errors
 def logpdf(g: Gaussian, x) -> float | np.ndarray:
     """log N(x | mean, cov): a float for one point x of shape (d,), an (n,)
@@ -72,7 +85,7 @@ def logpdf(g: Gaussian, x) -> float | np.ndarray:
         raise
     # y.dot(y) is y @ y's dot product without matmul's ufunc dispatch.
     maha = float(y.dot(y)) if x.ndim == 1 else np.sum(y * y, axis=0)
-    return -0.5 * (g.dim * LOG_2PI + g.cov.logdet + maha)
+    return _log_density(g.dim, g.cov.logdet, maha)
 
 
 @raise_fp_errors
@@ -86,12 +99,12 @@ def logpdf_stack(g: GaussianStack, x) -> np.ndarray:
     if not pdcore._all_finite(x):
         raise KLWishartError("point x must be finite")
     y = pdcore.whiten(g.cov, (x - g.mean[:, None, :]).swapaxes(1, 2))
-    return -0.5 * (g.dim * LOG_2PI + g.cov.logdet[:, None] + np.sum(y * y, axis=1))
+    return _log_density(g.dim, g.cov.logdet[:, None], np.sum(y * y, axis=1))
 
 
 def entropy(g: Gaussian) -> float:
-    """Differential entropy: (d/2)(1 + log 2 pi) + (1/2) log|cov|."""
-    return 0.5 * (g.dim * (1.0 + LOG_2PI) + g.cov.logdet)
+    """Differential entropy: minus `_log_density` at its expected Mahalanobis term, d."""
+    return -_log_density(g.dim, g.cov.logdet, g.dim)
 
 
 @raise_fp_errors
@@ -103,9 +116,8 @@ def kl(p: Gaussian, q: Gaussian) -> float:
     # term is ||L_q^{-1} (m_q - m_p)||^2.
     m = pdcore.whiten(q.cov, p.cov.factor)
     y = pdcore.whiten(q.cov, q.mean - p.mean)
-    value = 0.5 * (np.sum(m * m) + y @ y - p.dim + q.cov.logdet - p.cov.logdet)
     # KL >= 0; only rounding takes the closed form below zero.
-    return max(float(value), 0.0)
+    return max(float(_kl(p, q, np.sum(m * m), y @ y)), 0.0)
 
 
 @raise_fp_errors
@@ -117,21 +129,15 @@ def kl_stack(p: Gaussian, q: GaussianStack) -> np.ndarray:
     m = pdcore.whiten(q.cov, p.cov.factor)
     y = pdcore.whiten(q.cov, (q.mean - p.mean)[:, :, None])
     trace = (m * m).reshape(len(m), -1).sum(axis=1)
-    value = 0.5 * (trace + np.sum(y * y, axis=(1, 2)) - p.dim + q.cov.logdet - p.cov.logdet)
-    return np.maximum(value, 0.0)
+    return np.maximum(_kl(p, q, trace, np.sum(y * y, axis=(1, 2))), 0.0)
 
 
 @raise_fp_errors
 def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
     """E_{x~p}[log N(x | mu, prec^{-1})], exact.
 
-    Equals -KL(p || N(mu, prec^{-1})) - entropy(p).
+    Equals -KL(p || N(mu, prec^{-1})) - entropy(p), by `_log_density`.
     """
     mu = pdcore.finite_vector(mu, p.dim, "mu")
-    value = (
-        p.dim * LOG_2PI
-        - prec.logdet
-        + pdcore.trace_product(prec, p.cov)
-        + pdcore.quad_form(p.mean - mu, prec)
-    )
-    return float(-0.5 * value)
+    maha = pdcore.trace_product(prec, p.cov) + pdcore.quad_form(p.mean - mu, prec)
+    return float(_log_density(p.dim, -prec.logdet, maha))

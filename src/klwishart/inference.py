@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pdcore
+from . import pdcore, wishart
 from .errors import DimensionMismatch, InsufficientData, KLWishartError, NotPositiveDefinite
 from .klpriors import KLNormalWishartPrior, KLWishartPrior, _classical
 from .pdcore import PDMatrix, raise_fp_errors
-from .wishart import WishartParams
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class PosteriorKnownMean:
     as computed; the shape follows from it by the known-mean rule of
     `klpriors._classical`."""
 
-    wishart: WishartParams
+    wishart: wishart.WishartParams
     pseudo_total: np.float64
 
 
@@ -149,11 +148,9 @@ def posterior_known_mean(prior: KLWishartPrior, data) -> PosteriorKnownMean:
 
 @raise_fp_errors
 def map_known_mean(post: PosteriorKnownMean) -> PDMatrix:
-    """MAP precision (n + alpha) S-bar^{-1} = (n + alpha) L^{-T} L^{-1}, from
-    the posterior scatter's own cached inverse factor, in one `make_pd`;
-    equals the Wishart mode."""
-    li = post.wishart.scale_inv.inverse_factor
-    return pdcore.make_pd(post.pseudo_total * (li.T @ li))
+    """MAP precision (n + alpha) S-bar^{-1}: the posterior Wishart's mode,
+    (nu - d - 1) V with nu = n + alpha + d + 1, by `wishart.wishart_mode`."""
+    return wishart.wishart_mode(post.wishart)
 
 
 @raise_fp_errors

@@ -27,9 +27,8 @@ import math
 
 import numpy as np
 
-from . import pdcore
+from . import gaussian, pdcore
 from .errors import KLWishartError, NotPositiveDefinite
-from .gaussian import LOG_2PI
 from .pdcore import PDMatrix, PDStack, raise_fp_errors
 from .wishart import WishartParams, wishart_log_pdf, wishart_log_pdf_stack
 
@@ -133,11 +132,11 @@ def log_density_wishart_prior(p: KLWishartPrior, P: PDMatrix) -> float:
 
 
 def _log_conditional(p: KLNormalWishartPrior, P, quad):
-    """log N(mu | m, (alpha P)^{-1}) from P's own factor, with
-    quad = (mu - m)' P (mu - m): the one copy of the formula, for one P or
-    for each member of a stack."""
+    """log N(mu | m, (alpha P)^{-1}) from quad = (mu - m)' P (mu - m) and P's
+    own log|P|, by `gaussian._log_density` with log|(alpha P)^{-1}| =
+    -(d log alpha + log|P|): for one P or for each member of a stack."""
     d, alpha = p.dim, p.pseudocount
-    return -0.5 * (d * LOG_2PI - d * math.log(alpha) - P.logdet + alpha * quad)
+    return gaussian._log_density(d, -(d * math.log(alpha) + P.logdet), alpha * quad)
 
 
 @raise_fp_errors

@@ -5,6 +5,7 @@ update formulas are additive in S; the scale V is derived on demand.
 There is one parameter type: in the Dawid convention C ~ IW(S, nu) iff
 P = C^{-1} ~ W(S^{-1}, nu), so `iw_log_pdf` and `iw_mode` take the
 `WishartParams` of P and read S from its `scale_inv`.
+`_log_pdf` is the one copy of the density, and `wishart_mode` the one route to the mode.
 Sampling uses the Bartlett construction, valid for any real nu > d - 1.
 """
 
@@ -98,7 +99,7 @@ class WishartParams:
 
 def _log_pdf(w: WishartParams, logdet, trace):
     """log W(P | V, nu) from log|P| and tr(P S): the one copy of the
-    formula, for one P or for each member of a stack."""
+    formula, for one P, for each member of a stack, or for P = C^{-1}."""
     return (w.shape - w.dim - 1) / 2.0 * logdet - 0.5 * trace - w.log_normaliser
 
 
@@ -137,9 +138,11 @@ def wishart_mean_inverse(w: WishartParams) -> PDMatrix:
 
 @raise_fp_errors
 def wishart_mode(w: WishartParams) -> PDMatrix:
-    """Mode (nu - d - 1) V; InvalidShape unless nu > d + 1, where the mode
+    """Mode (nu - d - 1) V = (nu - d - 1) L^{-T} L^{-1}, from S = L L''s cached
+    L^{-1} in one `make_pd`; InvalidShape unless nu > d + 1, where the mode
     is interior (at nu = d + 1 it is the singular zero matrix)."""
-    return pdcore.make_pd(_excess(w, "mode") * w.scale().entries)
+    li = w.scale_inv.inverse_factor
+    return pdcore.make_pd(_excess(w, "mode") * (li.T @ li))
 
 
 @raise_fp_errors
@@ -269,22 +272,17 @@ class _Draws:
 @raise_fp_errors
 def iw_log_pdf(w: WishartParams, C: PDMatrix) -> float:
     """log density of C = P^{-1} for P ~ w = W(S^{-1}, nu), that is
-    log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|
-    = -((nu + d + 1)/2) log|C| - tr(C^{-1} S)/2 - log Z, with log Z the
-    normaliser of W(S^{-1}, nu).
+    log IW(C | S, nu) = log W(C^{-1} | S^{-1}, nu) - (d+1) log|C|: `_log_pdf`
+    at log|P| = -log|C| and tr(P S) = tr(C^{-1} S), plus the Jacobian.
 
     Evaluated from the factors without inverting C:
     tr(C^{-1} S) = ||L_C^{-1} L_S||_F^2.  A C of another dimension, or a
     `PDStack`, raises DimensionMismatch.
     """
-    d = w.dim
     if C.entries.shape != w.scale_inv.entries.shape:
         raise DimensionMismatch(f"iw_log_pdf: {C.entries.shape} vs {w.scale_inv.entries.shape}")
-    nu = w.shape
-    trace = float(np.sum(pdcore.whiten(C, w.scale_inv.factor) ** 2))
-    return float(
-        -(nu + d + 1) / 2.0 * C.logdet - 0.5 * trace - w.log_normaliser
-    )
+    trace = np.sum(pdcore.whiten(C, w.scale_inv.factor) ** 2)
+    return float(_log_pdf(w, -C.logdet, trace) - (w.dim + 1) * C.logdet)
 
 
 def iw_mode(w: WishartParams) -> PDMatrix:

@@ -327,6 +327,38 @@ class TestKL:
         assert res.returncode == 0, res.stderr
         assert res.stdout == expect + "\n"
 
+    # Two fixed Gaussian pairs and the bytes `kl` prints for them, each way.
+    PAIRS = {
+        3: (
+            ([0.5, -1.0, 2.0], [[2.0, 0.3, -0.4], [0.3, 1.5, 0.2], [-0.4, 0.2, 0.8]]),
+            ([-0.25, 0.75, 1.5], [[1.2, -0.1, 0.05], [-0.1, 0.9, 0.3], [0.05, 0.3, 2.5]]),
+            "2.59492874756", "2.91102488646",
+        ),
+        5: (
+            (
+                [1.0, 0.0, -0.5, 0.25, 2.0],
+                [[1.5, 0.2, 0.0, -0.1, 0.3], [0.2, 2.0, 0.4, 0.0, -0.2], [0.0, 0.4, 0.9, 0.1, 0.0],
+                 [-0.1, 0.0, 0.1, 1.1, 0.25], [0.3, -0.2, 0.0, 0.25, 1.8]],
+            ),
+            (
+                [0.5, -0.75, 0.0, 1.0, 1.25],
+                [[0.8, -0.1, 0.2, 0.0, 0.0], [-0.1, 1.3, 0.0, 0.3, 0.1], [0.2, 0.0, 2.2, -0.4, 0.2],
+                 [0.0, 0.3, -0.4, 1.6, 0.0], [0.0, 0.1, 0.2, 0.0, 0.7]],
+            ),
+            "2.26531553065", "1.80439459592",
+        ),
+    }
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_bytes_pinned_both_ways(self, tmp_path, d):
+        p_args, q_args, forward, backward = self.PAIRS[d]
+        p = self.g(tmp_path, "p.json", *p_args)
+        q = self.g(tmp_path, "q.json", *q_args)
+        for a, b, expect in [(p, q, forward), (q, p, backward)]:
+            res = run_cli(["kl", a, b])
+            assert res.returncode == 0, res.stderr
+            assert res.stdout == expect + "\n"
+
     def test_asymmetry(self, tmp_path):
         p = self.g(tmp_path, "p.json", [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         q = self.g(tmp_path, "q.json", [1.0, 0.0], [[3.0, 0.0], [0.0, 1.0]])
@@ -454,7 +486,9 @@ class TestSample:
         expected = "".join(
             ",".join(repr(float(v)) for v in draws[k].ravel()) + "\n" for k in range(n)
         )
-        assert out.read_text() == expected
+        # Digests keep a failure quick: pytest's diff of megabytes of text is not.
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == hashlib.sha256(expected.encode()).hexdigest()
 
     def test_seed_7_bytes_pinned(self, tmp_path):
         # The reference output quoted in README and ROADMAP: these bytes

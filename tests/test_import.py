@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,42 @@ def test_only_pdcore_and_verify_use_linalg():
     src = Path(klwishart.__file__).parent
     for name in ("gaussian.py", "klpriors.py", "wishart.py", "inference.py", "cli.py"):
         assert "linalg" not in (src / name).read_text(), name
+
+
+def _functions_reading(tree: ast.AST, name: str) -> list:
+    """The innermost function around each read of `name`, as a bare name or
+    as an attribute; None for a read outside any function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        read = (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        )
+        if read and isinstance(node.ctx, ast.Load):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, owner",
+    [("LOG_2PI", ("gaussian.py", "_log_density")), ("log_normaliser", ("wishart.py", "_log_pdf"))],
+)
+def test_one_owner_reads_each_density_constant(name, owner):
+    # The Gaussian log-density and the Wishart density each have one copy;
+    # a second copy would read the constant outside its owner.
+    src = Path(klwishart.__file__).parent
+    readers = {
+        (path.name, function)
+        for path in src.glob("*.py")
+        for function in _functions_reading(ast.parse(path.read_text()), name)
+    }
+    assert readers == {owner}
 
 
 def test_only_pdcore_sets_the_floating_point_error_state():

@@ -146,31 +146,128 @@ def _single_and_stacked(density):
     )
 
 
+def _iw_log_pdf():
+    """`iw_log_pdf` of three covariances, which reaches `wishart._log_pdf`."""
+    r = rng(32)
+    w = wishart.WishartParams(verify.random_pd(2, r), 4.5)
+    return [wishart.iw_log_pdf(w, verify.random_pd(2, r)) for _ in range(3)]
+
+
 class TestOneCopyOfEachPriorFormula:
     """Negative controls on the one copy of each prior formula: a wrong term
     in it moves the single function and its stack version alike, and the
     default suite reports a failure."""
 
     @pytest.mark.parametrize(
-        "module, name, wrong, density",
+        "module, name, wrong, density, also",
         [
-            (wishart, "_log_pdf", lambda f: lambda w, logdet, trace: f(w, logdet, 1.01 * trace), "wishart_log_pdf"),
+            (
+                wishart,
+                "_log_pdf",
+                lambda f: lambda w, logdet, trace: f(w, logdet, 1.01 * trace),
+                "wishart_log_pdf",
+                [_iw_log_pdf],
+            ),
             (
                 klpriors,
                 "_log_conditional",
                 lambda f: lambda p, P, quad: f(p, P, quad) + 0.5 * P.logdet,
                 "log_density_nw_prior",
+                [],
             ),
         ],
         ids=["wishart_scaled_trace", "conditional_without_logdet"],
     )
-    def test_wrong_term_moves_both_and_fails_the_suite(self, monkeypatch, module, name, wrong, density):
+    def test_wrong_term_moves_both_and_fails_the_suite(
+        self, monkeypatch, module, name, wrong, density, also
+    ):
         single, stacked = _single_and_stacked(density)
+        others = [caller() for caller in also]
         monkeypatch.setattr(module, name, wrong(getattr(module, name)))
         wrong_single, wrong_stacked = _single_and_stacked(density)
         assert not np.isclose(wrong_single, single).any()
         assert not np.isclose(wrong_stacked, stacked).any()
         np.testing.assert_allclose(wrong_stacked, wrong_single, rtol=1e-13)
+        for caller, before in zip(also, others):
+            assert not np.isclose(caller(), before).any()
+        reports = verify.run_suite(verify.DEFAULT_SUITE, seed=0)
+        assert not all(r.passed for r in reports)
+
+
+def _owner_callers():
+    """Every caller of `gaussian._log_density`, `gaussian._kl` and
+    `wishart.wishart_mode` on fixed inputs.  Pairs that must agree come as
+    (single, stacked) or, for the mode, (`wishart_mode`, `map_known_mean`)."""
+    r = rng(31)
+    cov = pdcore.make_pd_stack([verify.random_pd(3, r).entries for _ in range(3)])
+    mean = r.standard_normal((3, 3))
+    members = [gaussian.Gaussian(m, pdcore.make_pd(c)) for m, c in zip(mean, cov.entries)]
+    p = gaussian.Gaussian(r.standard_normal(3), verify.random_pd(3, r))
+    x = r.standard_normal((4, 3))
+    stack = gaussian.GaussianStack(mean, cov)
+    prior = klpriors.KLWishartPrior(verify.random_pd(3, r), 0.7, r.standard_normal(3))
+    post = inference.posterior_known_mean(prior, x)
+    return {
+        "logpdf": ([gaussian.logpdf(g, x) for g in members], gaussian.logpdf_stack(stack, x)),
+        "kl": ([gaussian.kl(p, g) for g in members], gaussian.kl_stack(p, stack)),
+        "log_density_nw_prior": _single_and_stacked("log_density_nw_prior"),
+        "mode": (
+            wishart.wishart_mode(post.wishart).entries,
+            inference.map_known_mean(post).entries,
+        ),
+        "expected_loglik": gaussian.expected_loglik(p, mean[0], members[0].cov),
+        "entropy": gaussian.entropy(p),
+    }
+
+
+class TestOneOwnerOfEachFormula:
+    """Negative controls on the owners of the Gaussian log-density, the
+    Gaussian KL and the Wishart mode: a wrong term in the owner moves every
+    caller it applies to, the single function and its stack version alike,
+    leaves the other callers bitwise unchanged, and fails the default suite."""
+
+    @pytest.mark.parametrize(
+        "module, name, wrong, pairs, derived",
+        [
+            (
+                gaussian,
+                "_log_density",
+                lambda f: lambda d, logdet, maha: f(d, logdet, maha) + 0.5 * logdet,
+                ["logpdf", "log_density_nw_prior"],
+                ["expected_loglik", "entropy"],
+            ),
+            (
+                gaussian,
+                "_kl",
+                lambda f: lambda p, q, trace, maha: f(p, q, trace, maha) + 0.01 * q.cov.logdet,
+                ["kl"],
+                [],
+            ),
+            (
+                wishart,
+                "wishart_mode",
+                lambda f: lambda w: pdcore.make_pd(1.01 * f(w).entries),
+                ["mode"],
+                [],
+            ),
+        ],
+        ids=["log_density_without_logdet", "kl_with_q_logdet", "scaled_mode"],
+    )
+    def test_wrong_owner_moves_every_caller_and_fails_the_suite(
+        self, monkeypatch, module, name, wrong, pairs, derived
+    ):
+        before = _owner_callers()
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        after = _owner_callers()
+        for caller in pairs:
+            (single, stacked), (wrong_single, wrong_stacked) = before[caller], after[caller]
+            assert not np.isclose(wrong_single, single).any(), caller
+            assert not np.isclose(wrong_stacked, stacked).any(), caller
+            np.testing.assert_allclose(wrong_stacked, wrong_single, rtol=1e-13)
+        for caller in derived:
+            assert not np.isclose(after[caller], before[caller]), caller
+        for caller in before.keys() - {*pairs, *derived}:
+            np.testing.assert_array_equal(after[caller], before[caller])
         reports = verify.run_suite(verify.DEFAULT_SUITE, seed=0)
         assert not all(r.passed for r in reports)
 
