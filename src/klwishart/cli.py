@@ -52,6 +52,7 @@ _EXIT_TABLE = (
 )
 
 _WRITE_BLOCK_ROWS = 8192
+_READ_SPLIT_CHARS = 1 << 20
 
 
 def _resolve_seed(seed) -> int:
@@ -78,10 +79,31 @@ def read_csv(path: str) -> np.ndarray:
     UTF-8 and may start with a byte-order mark.  NaN and
     infinite values, including overflowing literals such as 1e400, are
     rejected with the 1-based index of the data row (header and skipped
-    lines not counted).  All failures raise ValueError.
+    lines not counted).  All failures raise ValueError.  Where os.fork
+    exists, a text longer than _READ_SPLIT_CHARS is cut at the first newline
+    after its middle and parsed in two halves (`_parse_halves`).
     """
     with open(path, encoding="utf-8-sig") as fh:
-        lines = [ln for ln in fh.read().replace(",", " ").split("\n") if ln.strip()]
+        text = fh.read().replace(",", " ")
+    cut = text.find("\n", len(text) // 2) if len(text) > _READ_SPLIT_CHARS else -1
+    data = _parse_halves(path, text, cut) if cut >= 0 and hasattr(os, "fork") else None
+    if data is None:
+        lines, text = _lines(text), None  # free the text: the parse needs only the lines
+        data = _parse(path, lines)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = np.flatnonzero(~finite)[0] + 1
+        raise ValueError(f"{path}: non-finite value in data row {row}")
+    return data
+
+
+def _lines(text: str, start: int = 0, stop=None) -> list:
+    """The lines of text[start:stop] that hold more than whitespace."""
+    return [ln for ln in text[start:stop].split("\n") if ln.strip()]
+
+
+def _parse(path: str, lines: list) -> np.ndarray:
+    """The rows of read_csv's non-blank lines, after a header if there is one."""
     if not lines:
         raise ValueError(f"{path}: empty file")
     try:
@@ -91,16 +113,35 @@ def read_csv(path: str) -> np.ndarray:
     if not lines:
         raise ValueError(f"{path}: no data rows")
     try:
-        data = np.loadtxt(lines, ndmin=2, comments=None)
+        return np.loadtxt(lines, ndmin=2, comments=None)
     except ValueError as exc:
         if len({len(ln.split()) for ln in lines}) > 1:
             raise ValueError(f"{path}: inconsistent column counts") from None
         raise ValueError(f"{path}: {exc}") from None
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        row = np.flatnonzero(~finite)[0] + 1
-        raise ValueError(f"{path}: non-finite value in data row {row}")
-    return data
+
+
+def _parse_halves(path: str, text: str, cut: int) -> np.ndarray | None:
+    """text[:cut] parsed here while a forked child parses text[cut + 1:],
+    joined: lines parse one by one, so bit for bit the serial array.  None,
+    for the caller to parse the whole text and raise the serial message,
+    where either half fails, the first has no data line or columns differ."""
+    with _child_frames(_second_half(text, cut), f"{path}: the parser process") as next_frame:
+        try:
+            first = _parse(path, _lines(text, 0, cut))
+        except ValueError:
+            first = None
+        cols, rows = int.from_bytes(next_frame(), "little"), next_frame()
+    if first is None or cols != first.shape[1]:
+        return None
+    return np.concatenate([first, np.frombuffer(rows).reshape(-1, cols)])
+
+
+def _second_half(text: str, cut: int):
+    """The child's frames: column count and float64 rows of text[cut + 1:], or 0 and b""."""
+    lines, data = _lines(text, cut + 1), np.empty((0, 0))
+    with contextlib.suppress(ValueError):
+        data = np.loadtxt(lines, ndmin=2, comments=None) if lines else data
+    yield from (data.shape[1].to_bytes(8, "little"), data.tobytes())
 
 
 def _finite(text: str) -> float:
@@ -293,63 +334,60 @@ def _csv_lines(block: np.ndarray):
 def _write_draws(out, draws: np.ndarray) -> None:
     """Write the draws to out as CSV, in blocks of _WRITE_BLOCK_ROWS.
 
-    With two or more blocks, and where os.fork exists, one forked child
-    formats the odd-numbered blocks while this process formats the even
-    ones; converting block by block bounds the memory either holds.  The
-    child sends each block back through a pipe as a frame, an 8-byte length
-    and then the UTF-8 text, and this process writes every block in order,
-    so the bytes do not depend on the child.  A short frame or a failed
-    child raises OSError.  The pipe is closed before the child is reaped,
-    so a child blocked on a full pipe gets EPIPE and exits.
+    With two or more blocks, and where os.fork exists, a forked child
+    (`_child_frames`) formats the odd-numbered blocks and this process the
+    even ones, then writes every block in order, so the bytes do not depend
+    on the child.  Block by block bounds the memory either process holds.
     """
     blocks = [draws[s : s + _WRITE_BLOCK_ROWS] for s in range(0, len(draws), _WRITE_BLOCK_ROWS)]
-    reader = None
-    if len(blocks) > 1 and hasattr(os, "fork"):
-        fd_read, fd_write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            _format_in_child(fd_read, fd_write, blocks[1::2])
-        os.close(fd_write)
-        reader = open(fd_read, "rb")
-    try:
+    forked = len(blocks) > 1 and hasattr(os, "fork")
+    odd = ("".join(_csv_lines(block)).encode() for block in blocks[1::2])
+    child = _child_frames(odd, "sample: the formatter process")
+    with child if forked else contextlib.nullcontext() as next_frame:
         for k, block in enumerate(blocks):
-            if reader is not None and k % 2:
-                out.write(_read_frame(reader))
+            if forked and k % 2:
+                out.write(next_frame().decode())
             else:
                 out.writelines(_csv_lines(block))
-    finally:
-        if reader is not None:
-            reader.close()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if reader is not None and status != 0:
-        raise OSError(f"sample: the formatter process exited with status {status}")
 
 
-def _format_in_child(fd_read: int, fd_write: int, blocks: list) -> None:
-    """The forked child: write one frame per block to fd_write, then leave
-    by os._exit, with status 0 on success and 1 on any exception.  It calls
-    no BLAS, and it never returns into the caller's stack or flushes a file
-    object it inherited."""
-    status = 1
+@contextlib.contextmanager
+def _child_frames(frames, what: str):
+    """Fork one child that iterates frames (bytes, computed without BLAS)
+    and sends each through a pipe: an 8-byte length, then the bytes.  Yields
+    a function that reads the next one; a short frame raises OSError named
+    by `what`.  On leaving, the pipe is closed before the child is reaped,
+    so a child blocked on a full pipe gets EPIPE and exits; a failed child
+    then raises OSError.  The child leaves by os._exit (status 1 on any
+    exception), never returning into the caller or flushing a file."""
+    fd_read, fd_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(fd_read)
+            with open(fd_write, "wb") as pipe:
+                for frame in frames:
+                    pipe.writelines((len(frame).to_bytes(8, "little"), frame))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(fd_write)
+    reader = open(fd_read, "rb")
+    def next_frame() -> bytes:
+        head = reader.read(8)
+        size = int.from_bytes(head, "little")
+        data = reader.read(size) if len(head) == 8 else b""
+        if len(head) != 8 or len(data) != size:
+            raise OSError(f"{what} ended early")
+        return data
     try:
-        os.close(fd_read)
-        with open(fd_write, "wb") as pipe:
-            for block in blocks:
-                text = "".join(_csv_lines(block)).encode()
-                pipe.write(len(text).to_bytes(8, "little"))
-                pipe.write(text)
-        status = 0
+        yield next_frame
     finally:
-        os._exit(status)
-
-
-def _read_frame(reader) -> str:
-    head = reader.read(8)
-    size = int.from_bytes(head, "little")
-    text = reader.read(size) if len(head) == 8 else b""
-    if len(head) != 8 or len(text) != size:
-        raise OSError("sample: the formatter process ended early")
-    return text.decode()
+        reader.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise OSError(f"{what} exited with status {status}")
 
 
 def cmd_check(args) -> int:
@@ -370,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mode-and-pseudocount Wishart / normal-Wishart conjugate priors",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    versions = {"klwishart": __version__, "numpy": np.__version__, "python": platform.python_version()}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    versions = {"klwishart": __version__, "numpy": np.__version__, "python": platform.python_version(),
+                "blas": f"{blas['name']} {blas['version']}"}
     parser.add_argument(
         "--version", action="version", version=json.dumps(versions),
         help="print the versions as JSON and exit",

@@ -36,6 +36,35 @@ def data_2d(tmp_path):
     return path, data
 
 
+def read_both(path, monkeypatch):
+    """read_csv(path) on the serial path and with every text split; the two
+    must give the same array, bit for bit, or the same ValueError, which is
+    raised again."""
+    results = []
+    for chars in (math.inf, 0):
+        monkeypatch.setattr(cli, "_READ_SPLIT_CHARS", chars)
+        try:
+            results.append(read_csv(str(path)))
+        except ValueError as exc:
+            results.append(str(exc))
+    serial, split = results
+    if isinstance(serial, str):
+        assert isinstance(split, str) and split == serial
+        raise ValueError(serial)
+    assert split.dtype == serial.dtype and split.shape == serial.shape
+    assert split.tobytes() == serial.tobytes()
+    return serial
+
+
+def cut_before(first, second):
+    """first + second, first's last line indented so that read_csv cuts the
+    text at first's final newline."""
+    start = first[:-1].rfind("\n") + 1
+    text = first[:start] + " " * (len(first) + len(second)) + first[start:] + second
+    assert text.find("\n", len(text) // 2) == len(text) - len(second) - 1
+    return text
+
+
 class TestReadCsv:
     def test_comma(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -74,10 +103,10 @@ class TestReadCsv:
             "crlf", "bom",
         ],
     )
-    def test_grammar(self, tmp_path, text, expected):
+    def test_grammar(self, tmp_path, monkeypatch, text, expected):
         p = tmp_path / "a.csv"
         p.write_bytes(text.encode())
-        got = read_csv(str(p))
+        got = read_both(p, monkeypatch)
         assert got.dtype == np.float64
         assert np.array_equal(got, np.asarray(expected, dtype=float))
 
@@ -99,15 +128,15 @@ class TestReadCsv:
             "comment", "nan", "inf", "overflow",
         ],
     )
-    def test_rejects(self, tmp_path, text, message):
+    def test_rejects(self, tmp_path, monkeypatch, text, message):
         p = tmp_path / "a.csv"
         p.write_text(text)
         with pytest.raises(ValueError) as info:
-            read_csv(str(p))
+            read_both(p, monkeypatch)
         assert str(info.value).startswith(f"{p}: ")
         assert message in str(info.value)
 
-    def test_matches_per_row_parse(self, tmp_path):
+    def test_matches_per_row_parse(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 8, (500, 3))
         seps = [",", " ", ", ", "\t", " ,"]
@@ -116,8 +145,81 @@ class TestReadCsv:
         p = tmp_path / "a.csv"
         p.write_text("a b c\n" + "\n".join(lines) + "\n")
         ref = [[float(f) for f in ln.replace(",", " ").split()] for ln in lines]
-        assert np.array_equal(read_csv(str(p)), np.asarray(ref))
+        assert np.array_equal(read_both(p, monkeypatch), np.asarray(ref))
         assert np.array_equal(read_csv(str(p)), data)
+
+    @pytest.mark.parametrize(
+        "text, expected, joined",
+        [
+            (cut_before("1,2\n3,4\n", "5,nan\n7,8\n"), "non-finite value in data row 3", True),
+            (cut_before("x,y\n1,2\n\n", "\n3,-inf\n"), "non-finite value in data row 2", True),
+            (cut_before("1,2\n3,4\n", "5\n7,8\n"), "inconsistent column counts", False),
+            (cut_before("1,2\n3,4\n", "5,6,7\n"), "inconsistent column counts", False),
+            (cut_before("1,2\n3,4\n", "5,a\n"), "could not convert string 'a' to float64 at row 2, column 2", False),
+            (cut_before("x,y\n", "1,b\n"), "could not convert string 'b' to float64 at row 0, column 2", False),
+            (cut_before("1,2\n", "a,b\n3,4\n"), "could not convert string 'a' to float64 at row 1, column 1", False),
+            (cut_before("1,2\n\n  \n", "\n,\n3,4\n\n"), [[1, 2], [3, 4]], True),
+            (cut_before("1,2\r\n3,4\r\n", "5,6\r\n"), [[1, 2], [3, 4], [5, 6]], True),
+            (cut_before("x,y\n", "1,2\n3,4\n"), [[1, 2], [3, 4]], False),
+            (cut_before("\n\n", "x,y\n1,2\n"), [[1, 2]], False),
+            (cut_before("1,2\n3,4\n", ""), [[1, 2], [3, 4]], False),
+            ("1,2\n3," + " " * 20 + "4", [[1, 2], [3, 4]], None),
+            ("1," + " " * 20 + "2", [[1, 2]], None),
+        ],
+        ids=[
+            "nan_after_cut", "inf_after_cut_with_header", "ragged_after_cut",
+            "halves_differ_in_columns", "bad_token_after_cut", "header_then_bad_token",
+            "text_line_after_cut",
+            "blank_lines_across_cut", "crlf_across_cut", "header_only_first_half",
+            "blank_first_half", "nothing_after_cut", "no_newline_after_middle", "no_newline",
+        ],
+    )
+    def test_fault_after_the_cut(self, tmp_path, monkeypatch, text, expected, joined):
+        # joined: whether the split joined both halves (True), fell back to
+        # the serial parse (False) or found no newline to cut at (None).
+        outcomes, parse_halves = [], cli._parse_halves
+        monkeypatch.setattr(cli, "_parse_halves", lambda *a: outcomes.append(parse_halves(*a)) or outcomes[-1])
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                read_both(p, monkeypatch)
+            assert str(info.value).startswith(f"{p}: ") and expected in str(info.value)
+        else:
+            assert np.array_equal(read_both(p, monkeypatch), np.asarray(expected, dtype=float))
+        assert [o is not None for o in outcomes] == ([] if joined is None else [joined])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("extra, split", [(0, False), (1, True)])
+    def test_split_above_the_size_constant(self, tmp_path, monkeypatch, extra, split):
+        calls, parse_halves = [], cli._parse_halves
+        monkeypatch.setattr(cli, "_parse_halves", lambda *a: calls.append(a) or parse_halves(*a))
+        row = "1.5,-2.25\n"
+        n, rest = divmod(cli._READ_SPLIT_CHARS + extra, len(row))
+        p = tmp_path / "a.csv"
+        p.write_text(row * n + " " * rest)
+        assert np.array_equal(read_csv(str(p)), np.tile([1.5, -2.25], (n, 1)))
+        assert len(calls) == split
+
+    def test_parser_child_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        pid, lines = os.getpid(), cli._lines
+
+        def fail_in_child(*args):
+            if os.getpid() != pid:
+                raise RuntimeError("parser failed")
+            return lines(*args)
+
+        monkeypatch.setattr(cli, "_lines", fail_in_child)
+        monkeypatch.setattr(cli, "_READ_SPLIT_CHARS", 0)
+        p = tmp_path / "a.csv"
+        write_csv(p, np.arange(12.0).reshape(6, 2))
+        code = main(["fit", "--data", str(p), "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {p}: the parser process ended early\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestFit:
@@ -599,11 +701,13 @@ def test_version_prints_one_json_line():
     assert res.returncode == 0 and res.stderr == ""
     assert res.stdout.count("\n") == 1 and res.stdout.endswith("\n")
     versions = json.loads(res.stdout)
-    assert list(versions) == ["klwishart", "numpy", "python"]
+    assert list(versions) == ["klwishart", "numpy", "python", "blas"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert versions == {
         "klwishart": klwishart.__version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
+        "blas": f"{blas['name']} {blas['version']}",
     }
 
 

@@ -52,8 +52,9 @@ def test_import_loads_no_cli():
 
 
 def test_cli_loads_no_process_pool():
-    # sample's formatter child is a bare os.fork; subprocess,
-    # multiprocessing and concurrent.futures would lengthen every start-up.
+    # sample's formatter child and fit's parser child are bare os.forks;
+    # subprocess, multiprocessing and concurrent.futures would lengthen
+    # every start-up.
     code = (
         "import sys, klwishart.cli; "
         "print(sorted(m for m in sys.modules "
