@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import marshal
 import math
 import operator
 import os
@@ -88,8 +89,8 @@ def read_csv(path: str) -> np.ndarray:
     cut = text.find("\n", len(text) // 2) if len(text) > _READ_SPLIT_CHARS else -1
     data = _parse_halves(path, text, cut) if cut >= 0 and hasattr(os, "fork") else None
     if data is None:
-        lines, text = _lines(text), None  # free the text: the parse needs only the lines
-        data = _parse(path, lines)
+        lines, text = text.split("\n"), None  # free the text before the filter
+        data = _parse(path, _lines(lines))
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         row = np.flatnonzero(~finite)[0] + 1
@@ -97,9 +98,10 @@ def read_csv(path: str) -> np.ndarray:
     return data
 
 
-def _lines(text: str, start: int = 0, stop=None) -> list:
-    """The lines of text[start:stop] that hold more than whitespace."""
-    return [ln for ln in text[start:stop].split("\n") if ln.strip()]
+def _lines(parts: list) -> list:
+    """The lines among parts, a text split at newlines, that hold more than
+    whitespace."""
+    return [ln for ln in parts if ln.strip()]
 
 
 def _parse(path: str, lines: list) -> np.ndarray:
@@ -125,23 +127,27 @@ def _parse_halves(path: str, text: str, cut: int) -> np.ndarray | None:
     joined: lines parse one by one, so bit for bit the serial array.  None,
     for the caller to parse the whole text and raise the serial message,
     where either half fails, the first has no data line or columns differ."""
-    with _child_frames(_second_half(text, cut), f"{path}: the parser process") as next_frame:
+    with _child_frames(_second_half(text, cut), f"{path}: the parser process") as next_value:
         try:
-            first = _parse(path, _lines(text, 0, cut))
+            first = _parse(path, _lines(text[:cut].split("\n")))
         except ValueError:
             first = None
-        cols, rows = int.from_bytes(next_frame(), "little"), next_frame()
-    if first is None or cols != first.shape[1]:
+        second = next_value()
+    if first is None or second is None or second[0] != first.shape[1]:
         return None
+    cols, rows = second
     return np.concatenate([first, np.frombuffer(rows).reshape(-1, cols)])
 
 
 def _second_half(text: str, cut: int):
-    """The child's frames: column count and float64 rows of text[cut + 1:], or 0 and b""."""
-    lines, data = _lines(text, cut + 1), np.empty((0, 0))
+    """The child's one value: the column count and float64 rows of
+    text[cut + 1:], or None where that holds no line or fails to parse."""
+    lines, value = _lines(text[cut + 1 :].split("\n")), None
     with contextlib.suppress(ValueError):
-        data = np.loadtxt(lines, ndmin=2, comments=None) if lines else data
-    yield from (data.shape[1].to_bytes(8, "little"), data.tobytes())
+        if lines:
+            data = np.loadtxt(lines, ndmin=2, comments=None)
+            value = data.shape[1], data.tobytes()
+    yield value
 
 
 def _finite(text: str) -> float:
@@ -216,7 +222,7 @@ def _fit_report(args, data: np.ndarray) -> dict:
             mu = [float(x) for x in args.known_mu.split(",")]
         except ValueError as exc:
             raise ValueError(f"--known-mu: {exc}") from None
-        mu = pdcore.finite_vector(mu, d, "--known-mu")
+        mu = pdcore.finite_vector(mu, (d,), "--known-mu")
     elif args.known_mu is not None:
         raise ValueError("--known-mu only applies with --mean-mode known")
 
@@ -341,25 +347,25 @@ def _write_draws(out, draws: np.ndarray) -> None:
     """
     blocks = [draws[s : s + _WRITE_BLOCK_ROWS] for s in range(0, len(draws), _WRITE_BLOCK_ROWS)]
     forked = len(blocks) > 1 and hasattr(os, "fork")
-    odd = ("".join(_csv_lines(block)).encode() for block in blocks[1::2])
+    odd = ("".join(_csv_lines(block)) for block in blocks[1::2])
     child = _child_frames(odd, "sample: the formatter process")
-    with child if forked else contextlib.nullcontext() as next_frame:
+    with child if forked else contextlib.nullcontext() as next_value:
         for k, block in enumerate(blocks):
             if forked and k % 2:
-                out.write(next_frame().decode())
+                out.write(next_value())
             else:
                 out.writelines(_csv_lines(block))
 
 
 @contextlib.contextmanager
-def _child_frames(frames, what: str):
-    """Fork one child that iterates frames (bytes, computed without BLAS)
-    and sends each through a pipe: an 8-byte length, then the bytes.  Yields
-    a function that reads the next one; a short frame raises OSError named
-    by `what`.  On leaving, the pipe is closed before the child is reaped,
-    so a child blocked on a full pipe gets EPIPE and exits; a failed child
-    then raises OSError.  The child leaves by os._exit (status 1 on any
-    exception), never returning into the caller or flushing a file."""
+def _child_frames(values, what: str):
+    """Fork one child that iterates values (computed without BLAS) and
+    sends each through a pipe with marshal.  Yields a function that reads
+    the next one; a pipe that ends early raises OSError named by `what`.
+    On leaving, the pipe is closed before the child is reaped, so a child
+    blocked on a full pipe gets EPIPE and exits; a failed child then raises
+    OSError.  The child leaves by os._exit (status 1 on any exception),
+    never returning into the caller or flushing a file."""
     fd_read, fd_write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -367,22 +373,20 @@ def _child_frames(frames, what: str):
         try:
             os.close(fd_read)
             with open(fd_write, "wb") as pipe:
-                for frame in frames:
-                    pipe.writelines((len(frame).to_bytes(8, "little"), frame))
+                for value in values:
+                    marshal.dump(value, pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(fd_write)
     reader = open(fd_read, "rb")
-    def next_frame() -> bytes:
-        head = reader.read(8)
-        size = int.from_bytes(head, "little")
-        data = reader.read(size) if len(head) == 8 else b""
-        if len(head) != 8 or len(data) != size:
-            raise OSError(f"{what} ended early")
-        return data
+    def next_value():
+        try:
+            return marshal.load(reader)
+        except (EOFError, ValueError):
+            raise OSError(f"{what} ended early") from None
     try:
-        yield next_frame
+        yield next_value
     finally:
         reader.close()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -33,7 +33,7 @@ class Gaussian:
 
     def __init__(self, mean, cov: PDMatrix):
         pdcore._one_matrix(cov, "Gaussian covariance")
-        self.mean = pdcore.finite_vector(mean, cov.dim, "Gaussian mean")
+        self.mean = pdcore.finite_vector(mean, (cov.dim,), "Gaussian mean")
         self.cov = cov
 
     @property
@@ -47,7 +47,7 @@ class GaussianStack:
     __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov: PDStack):
-        self.mean = pdcore.finite_vectors(mean, len(cov), cov.dim, "Gaussian mean")
+        self.mean = pdcore.finite_vector(mean, (len(cov), cov.dim), "Gaussian mean")
         self.cov = cov
 
     @property
@@ -138,6 +138,6 @@ def expected_loglik(p: Gaussian, mu, prec: PDMatrix) -> float:
 
     Equals -KL(p || N(mu, prec^{-1})) - entropy(p), by `_log_density`.
     """
-    mu = pdcore.finite_vector(mu, p.dim, "mu")
+    mu = pdcore.finite_vector(mu, (p.dim,), "mu")
     maha = pdcore.trace_product(prec, p.cov) + pdcore.quad_form(p.mean - mu, prec)
     return float(_log_density(p.dim, -prec.logdet, maha))

@@ -196,7 +196,7 @@ def _limit_scatter(stats: SufficientStats, known_mu, what: str):
         min_n, need = d + 1, "d + 1 (centering costs one count)"
         label, about = f"unknown-mean {what}", "centered scatter"
     else:
-        mu = pdcore.finite_vector(known_mu, d, "known_mu")
+        mu = pdcore.finite_vector(known_mu, (d,), "known_mu")
         scatter = _scatter_about(stats, mu)
         min_n, need = d, "d"
         label, about = f"known-mean {what}", "scatter about the known mean"

@@ -55,7 +55,7 @@ class KLWishartPrior:
 
     def __init__(self, mode_cov: PDMatrix, pseudocount: float, known_mean):
         pdcore._one_matrix(mode_cov, "mode_cov")
-        self.known_mean = pdcore.finite_vector(known_mean, mode_cov.dim, "known_mean")
+        self.known_mean = pdcore.finite_vector(known_mean, (mode_cov.dim,), "known_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
         self._wishart = None
@@ -76,7 +76,7 @@ class KLNormalWishartPrior:
 
     def __init__(self, prior_mean, mode_cov: PDMatrix, pseudocount: float):
         pdcore._one_matrix(mode_cov, "mode_cov")
-        self.prior_mean = pdcore.finite_vector(prior_mean, mode_cov.dim, "prior_mean")
+        self.prior_mean = pdcore.finite_vector(prior_mean, (mode_cov.dim,), "prior_mean")
         self.mode_cov = mode_cov
         self.pseudocount = _check_alpha(pseudocount)
         self._wishart = None
@@ -143,7 +143,7 @@ def _log_conditional(p: KLNormalWishartPrior, P, quad):
 def log_density_nw_prior(p: KLNormalWishartPrior, mu, P: PDMatrix) -> float:
     """Joint log prior density of (mu, P); equals
     -alpha KL(N(m, Sigma) || N(mu, P^{-1})) up to a constant."""
-    mu = pdcore.finite_vector(mu, p.dim, "mu")
+    mu = pdcore.finite_vector(mu, (p.dim,), "mu")
     wish, m, _ = to_normal_wishart(p)
     log_cond = _log_conditional(p, P, pdcore.quad_form(mu - m, P))
     return float(wishart_log_pdf(wish, P) + log_cond)
@@ -158,7 +158,7 @@ def log_density_wishart_prior_stack(p: KLWishartPrior, P: PDStack) -> np.ndarray
 def log_density_nw_prior_stack(p: KLNormalWishartPrior, mu, P: PDStack) -> np.ndarray:
     """`log_density_nw_prior` of each pair (mu_k, P_k) of a (T, d) stack of
     means and a stack P, a (T,) array."""
-    mu = pdcore.finite_vectors(mu, len(P), p.dim, "mu")
+    mu = pdcore.finite_vector(mu, (len(P), p.dim), "mu")
     wish, m, _ = to_normal_wishart(p)
     log_cond = _log_conditional(p, P, pdcore.quad_form_stack(mu - m, P))
     return wishart_log_pdf_stack(wish, P) + log_cond

@@ -24,9 +24,9 @@ raises DimensionMismatch for a stack, from the shape check it makes
 anyway or from `_one_matrix`.
 
 Every mean the library keeps, and every mean `mu` a density is evaluated
-at, enters through `finite_vector`, which checks its length and finiteness
-and keeps a read-only copy, so a caller's array is never frozen or shared;
-the (T, d) means that go with a stack enter through `finite_vectors`.
+at, enters through `finite_vector`, which checks its shape and finiteness
+and keeps a read-only copy, so a caller's array is never frozen or shared:
+(d,) for one mean, (T, d) for the means that go with a stack.
 
 It also holds the library's one overflow policy, `raise_fp_errors`:
 arithmetic that overflows, divides by zero or turns invalid raises
@@ -202,26 +202,14 @@ def make_pd_stack(raw) -> PDStack:
     return PDStack(a, factor)
 
 
-def finite_vector(value, dim: int, name: str) -> np.ndarray:
-    """value as a new read-only float vector of shape (dim,) with finite
-    entries: DimensionMismatch for another shape, KLWishartError for a NaN
-    or infinity."""
+def finite_vector(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a new read-only float array of shape (d,), or (T, d) for the
+    means of a stack, with finite entries: DimensionMismatch for another
+    shape, KLWishartError for a NaN or infinity."""
     v = np.array(value, dtype=float)
-    if v.shape != (dim,):
-        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({dim},)")
-    if not all(map(math.isfinite, v.tolist())):
-        raise KLWishartError(f"{name} must be finite")
-    v.setflags(write=False)
-    return v
-
-
-def finite_vectors(value, count: int, dim: int, name: str) -> np.ndarray:
-    """`finite_vector` for a (count, dim) stack of vectors: one per member
-    of a `PDStack`."""
-    v = np.array(value, dtype=float)
-    if v.shape != (count, dim):
-        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({count}, {dim})")
-    if not _all_finite(v):
+    if v.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected {shape}")
+    if not all(map(math.isfinite, v.ravel().tolist())):
         raise KLWishartError(f"{name} must be finite")
     v.setflags(write=False)
     return v

@@ -166,11 +166,13 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
     A call holds its output, all n of its draws' randoms and the kernel's
     scratch at once: 127.7 MiB at d = 10, n = 1e5 (tracemalloc).
 
-    The calling thread draws the first chunk.  When n > _CHUNK, one helper
-    thread claims the undrawn chunks in order and draws them; when the
-    chunk the caller needs next is not drawn yet, the caller claims and
-    draws the next unclaimed chunk instead of waiting, so both threads draw
-    (numpy's generators release the interpreter lock while they draw).
+    The calling thread draws the first chunk before any thread starts.
+    When n > _CHUNK, one helper thread claims the undrawn chunks in order
+    and draws them; when the chunk the caller needs next is not drawn yet,
+    the caller claims and draws the next unclaimed chunk instead of
+    waiting, so both threads draw (numpy's generators release the
+    interpreter lock while they draw).  Every claim and draw, and the
+    handling of a failed draw, is one `_Draws.step`.
     The x2, sqrt and kernel run on the calling thread only, chunk by chunk
     in order, under this function's floating-point policy.  A chunk gives
     the same randoms whichever thread draws it.
@@ -189,13 +191,17 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
             normals[start * m : stop * m].reshape(m, stop - start),
         ))
     draws = _Draws(rng, [(w.shape - i) / 2.0 for i in range(d)], chunks)
-    first, helper = draws.claim(), None
+    draws.step()  # the first chunk, on the calling thread
+
+    def draw_rest():
+        while draws.step() is not None:
+            pass
+
+    helper = None
     if len(chunks) > 1:
-        helper = threading.Thread(target=draws.draw_rest)
+        helper = threading.Thread(target=draw_rest)
         helper.start()
     try:
-        if first is not None:
-            draws.draw(first)
         for k, (start, (g, z)) in enumerate(zip(starts, chunks)):
             draws.wait_for(k)
             np.sqrt(np.multiply(g, 2.0, out=g), out=g)
@@ -221,50 +227,38 @@ class _Draws:
         self.error = None
         self._next, self._lock = 0, threading.Lock()
 
-    def claim(self) -> int | None:
-        """The first unclaimed chunk, now claimed; None once every chunk is
-        claimed or after `stop`."""
-        with self._lock:
-            if self._next == len(self.chunks):
-                return None
-            self._next += 1
-            return self._next - 1
-
     def stop(self) -> None:
         """Hand out no further chunk."""
         with self._lock:
             self._next = len(self.chunks)
 
-    def draw(self, k: int) -> None:
-        """Draw chunk k from its own generator: row i of its gammas from
-        standard_gamma(shapes[i]), row by row, then its normals."""
+    def step(self) -> int | None:
+        """Claim the next chunk and draw it from its own generator: row i of
+        its gammas from standard_gamma(shapes[i]), then its normals; its
+        index, or None after the last claim or `stop`.  An error is kept in
+        `error` and ends the claims; `drawn` is set either way."""
+        with self._lock:
+            k = self._next
+            if k == len(self.chunks):
+                return None
+            self._next += 1
         rng, (gammas, normals) = self.streams[k], self.chunks[k]
-        for row, shape in zip(gammas, self.shapes):
-            rng.standard_gamma(shape, out=row)
-        rng.standard_normal(out=normals)
-        self.drawn[k].set()
-
-    def draw_rest(self) -> None:
-        """The helper thread: draw chunks until none is left unclaimed.  An
-        error is kept in `error`, ends the claims and sets the failed
-        chunk's `drawn`, so a caller waiting on it wakes and raises."""
         try:
-            while (k := self.claim()) is not None:
-                self.draw(k)
-        except BaseException as exc:  # re-raised on the calling thread
+            for row, shape in zip(gammas, self.shapes):
+                rng.standard_gamma(shape, out=row)
+            rng.standard_normal(out=normals)
+        except BaseException as exc:  # raised again by `wait_for`
             self.error = exc
             self.stop()
-            self.drawn[k].set()
+        self.drawn[k].set()
+        return k
 
     def wait_for(self, k: int) -> None:
         """Return once chunk k is drawn, drawing unclaimed chunks meanwhile;
-        raise the helper's error, if it had one."""
+        raise the error of a failed draw, if there was one."""
         while not self.drawn[k].is_set():
-            j = self.claim()
-            if j is None:
+            if self.step() is None:
                 self.drawn[k].wait()
-            else:
-                self.draw(j)
         if self.error is not None:
             raise self.error
 

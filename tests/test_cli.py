@@ -221,6 +221,22 @@ class TestReadCsv:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_no_fork_reads_in_one_process(self, tmp_path, monkeypatch):
+        # Where os.fork does not exist (Windows) every text is parsed here.
+        p = tmp_path / "a.csv"
+        write_csv(p, np.random.default_rng(3).standard_normal((500, 3)))
+        monkeypatch.setattr(cli, "_READ_SPLIT_CHARS", math.inf)
+        serial = read_csv(str(p))
+        calls, parse_halves = [], cli._parse_halves
+        monkeypatch.setattr(cli, "_parse_halves", lambda *a: calls.append(a) or parse_halves(*a))
+        monkeypatch.setattr(cli, "_READ_SPLIT_CHARS", 0)
+        monkeypatch.delattr(os, "fork")
+        data = read_csv(str(p))
+        assert data.shape == serial.shape and data.tobytes() == serial.tobytes()
+        assert calls == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestFit:
     def test_unknown_mean_alpha_one(self, data_2d):
@@ -601,6 +617,19 @@ class TestSample:
                      "--seed", "7", "--output", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "6cca4bea1a4c90e06444045af41c4aef96d07e70251cf190873930ee77464fdd"
+
+    def test_no_fork_writes_in_one_process(self, tmp_path, monkeypatch):
+        # Where os.fork does not exist (Windows) this process formats every block.
+        scatter, shape = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]], 5.5
+        n = 2 * cli._WRITE_BLOCK_ROWS + 3
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "draws.csv"
+        assert main(["sample", self.dist(tmp_path, scatter, shape), "-n", str(n),
+                     "--seed", "7", "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.per_element_sha256(scatter, shape, n, 7)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def per_element_sha256(self, scatter, shape, n, seed):
         # The writer before one repr per distinct value: the reference bytes.

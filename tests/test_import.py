@@ -88,23 +88,36 @@ def test_only_pdcore_and_verify_use_linalg():
 
 
 def _functions_reading(tree: ast.AST, name: str) -> list:
-    """The innermost function around each read of `name`, as a bare name or
-    as an attribute; None for a read outside any function."""
+    """The qualified name of the innermost function around each read of
+    `name`, as a bare name or as an attribute: "f", "f.inner" or
+    "Class.method"; None for a read outside any function."""
     found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def visit(node, scope, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+            if not isinstance(node, ast.ClassDef):
+                function = ".".join(scope)
         read = (isinstance(node, ast.Name) and node.id == name) or (
             isinstance(node, ast.Attribute) and node.attr == name
         )
         if read and isinstance(node.ctx, ast.Load):
             found.append(function)
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, scope, function)
 
-    visit(tree, None)
+    visit(tree, (), None)
     return found
+
+
+def _readers(name: str) -> set:
+    """(file, function) for each read of `name` in the package's source."""
+    src = Path(klwishart.__file__).parent
+    return {
+        (path.name, function)
+        for path in src.glob("*.py")
+        for function in _functions_reading(ast.parse(path.read_text()), name)
+    }
 
 
 @pytest.mark.parametrize(
@@ -114,13 +127,28 @@ def _functions_reading(tree: ast.AST, name: str) -> list:
 def test_one_owner_reads_each_density_constant(name, owner):
     # The Gaussian log-density and the Wishart density each have one copy;
     # a second copy would read the constant outside its owner.
+    assert _readers(name) == {owner}
+
+
+@pytest.mark.parametrize(
+    "name, owner",
+    [("marshal", ("cli.py", "_child_frames")), ("standard_gamma", ("wishart.py", "_Draws.step"))],
+)
+def test_one_function_owns_each_step(name, owner):
+    # The CLI child's wire format (marshal) and the sampler's claim-and-draw
+    # step each have one owner, which may read the name in a nested function.
+    readers = _readers(name)
+    assert readers, name
+    for file, function in readers:
+        assert file == owner[0] and f"{function}.".startswith(f"{owner[1]}."), readers
+
+
+def test_one_mean_check():
+    # pdcore.finite_vector checks a (d,) mean and the (T, d) means of a
+    # stack alike; there is no second check for stacks.
     src = Path(klwishart.__file__).parent
-    readers = {
-        (path.name, function)
-        for path in src.glob("*.py")
-        for function in _functions_reading(ast.parse(path.read_text()), name)
-    }
-    assert readers == {owner}
+    for path in src.glob("*.py"):
+        assert "finite_vectors" not in path.read_text(), path.name
 
 
 def test_only_pdcore_sets_the_floating_point_error_state():

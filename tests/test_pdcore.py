@@ -105,7 +105,7 @@ def test_finite_vector_rejects_a_non_finite_entry_anywhere(bad, position):
     v = [0.5, -1.0, 2.0]
     v[position] = bad
     with pytest.raises(KLWishartError, match="^v must be finite$"):
-        pdcore.finite_vector(v, 3, "v")
+        pdcore.finite_vector(v, (3,), "v")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -419,9 +419,9 @@ def test_immutability():
 
 def test_finite_vector_names_the_wrong_shape():
     with pytest.raises(DimensionMismatch, match=r"^m has shape \(3,\), expected \(2,\)$"):
-        pdcore.finite_vector([0.0, 0.0, 0.0], 2, "m")
+        pdcore.finite_vector([0.0, 0.0, 0.0], (2,), "m")
     with pytest.raises(DimensionMismatch, match=r"^m has shape \(1, 2\)"):
-        pdcore.finite_vector([[0.0, 0.0]], 2, "m")
+        pdcore.finite_vector([[0.0, 0.0]], (2,), "m")
 
 
 _I2 = pdcore.make_pd(np.eye(2))

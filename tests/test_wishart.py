@@ -278,22 +278,22 @@ class TestSampling:
         n, chunks = 6 * C + 5, 7
         tdiag, offd = serial_randoms(w, n, np.random.default_rng(11))
         expected = batch_bartlett(w.scale().factor, tdiag, offd)
-        caller, on_caller = threading.get_ident(), {}
-        draw, draw_rest = wishart._Draws.draw, wishart._Draws.draw_rest
+        caller, on_caller, held = threading.get_ident(), {}, []
+        step = wishart._Draws.step
 
-        def recording_draw(self, k):
-            on_caller[k] = threading.get_ident() == caller
-            if delayed == "caller" and on_caller[k] and k > 0:
-                time.sleep(0.02)
-            draw(self, k)
-
-        def held_back_rest(self):
-            if delayed == "helper":
+        def recording_step(self):
+            on_this = threading.get_ident() == caller
+            if delayed == "helper" and not on_this and not held:
+                held.append(True)
                 time.sleep(0.2)
-            draw_rest(self)
+            if delayed == "caller" and on_this and on_caller:
+                time.sleep(0.02)
+            k = step(self)
+            if k is not None:
+                on_caller[k] = on_this
+            return k
 
-        monkeypatch.setattr(wishart._Draws, "draw", recording_draw)
-        monkeypatch.setattr(wishart._Draws, "draw_rest", held_back_rest)
+        monkeypatch.setattr(wishart._Draws, "step", recording_step)
         interval = sys.getswitchinterval()
         if delayed == "neither":
             sys.setswitchinterval(1e-6)
@@ -406,20 +406,35 @@ class TestSampling:
         assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * se)
 
 
-def _chunk_one_draw_fails():
-    """A call whose chunk 1 draw raises.  The caller's draw of chunk 0 is
-    slowed, so the helper claims chunk 1, and chunk 1 raises late enough
-    that the caller is already waiting for it."""
-    draw = wishart._Draws.draw
+def _draw_fails_on(thread):
+    """A call of three chunks in which every draw after chunk 0 made on
+    `thread` ("helper" or "caller") raises.  Each draw on the helper thread
+    is slowed by 0.2 s: a failing helper raises while the caller waits for
+    its chunk, and a working one leaves the caller to claim a chunk of its
+    own."""
+    caller = threading.get_ident()
+    init = wishart._Draws.__init__
 
-    def failing(self, k):
-        time.sleep(0.05 if k == 0 else 0.0)
-        if k == 1:
-            time.sleep(0.2)
-            raise RuntimeError("chunk 1 draw failed")
-        draw(self, k)
+    class Stream:
+        def __init__(self, rng):
+            self.rng = rng
 
-    with mock.patch.object(wishart._Draws, "draw", failing):
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_gamma(self, shape, out):
+            on_helper = threading.get_ident() != caller
+            if on_helper:
+                time.sleep(0.2)
+            if on_helper == (thread == "helper"):
+                raise RuntimeError(f"{thread} draw failed")
+            self.rng.standard_gamma(shape, out=out)
+
+    def failing_after_chunk_0(self, *args):
+        init(self, *args)
+        self.streams[1:] = map(Stream, self.streams[1:])
+
+    with mock.patch.object(wishart._Draws, "__init__", failing_after_chunk_0):
         wishart.sample_wishart_batch(
             WishartParams(pdcore.make_pd(np.eye(3)), 4.0), 3 * C, np.random.default_rng(0)
         )
@@ -427,7 +442,8 @@ def _chunk_one_draw_fails():
 
 # Failure -> (a call that fails after its first chunk, the error it raises).
 _FAILURES = {
-    "helper_draw": (_chunk_one_draw_fails, RuntimeError),
+    "helper_draw": (lambda: _draw_fails_on("helper"), RuntimeError),
+    "caller_draw": (lambda: _draw_fails_on("caller"), RuntimeError),
     # Seed 1 keeps every draw of the first chunk finite; the draws of the
     # eight chunks whose entries overflow are rows 19483 and 20722, in the
     # fifth and sixth.
