@@ -54,6 +54,7 @@ _EXIT_TABLE = (
 
 _WRITE_BLOCK_ROWS = 8192
 _READ_SPLIT_CHARS = 1 << 20
+_PIECE_BYTES = 1 << 30  # marshal refuses one str or bytes of 2**31 bytes
 
 
 def _resolve_seed(seed) -> int:
@@ -135,18 +136,18 @@ def _parse_halves(path: str, text: str, cut: int) -> np.ndarray | None:
         second = next_value()
     if first is None or second is None or second[0] != first.shape[1]:
         return None
-    cols, rows = second
-    return np.concatenate([first, np.frombuffer(rows).reshape(-1, cols)])
+    cols, pieces = second
+    return np.concatenate([first, np.frombuffer(b"".join(pieces)).reshape(-1, cols)])
 
 
 def _second_half(text: str, cut: int):
-    """The child's one value: the column count and float64 rows of
-    text[cut + 1:], or None where that holds no line or fails to parse."""
+    """The child's one value: the column count and float64 `_pieces` of
+    text[cut + 1:]'s rows, or None where it holds no line or fails to parse."""
     lines, value = _lines(text[cut + 1 :].split("\n")), None
     with contextlib.suppress(ValueError):
         if lines:
             data = np.loadtxt(lines, ndmin=2, comments=None)
-            value = data.shape[1], data.tobytes()
+            value = data.shape[1], _pieces(memoryview(data).cast("B"))
     yield value
 
 
@@ -347,14 +348,20 @@ def _write_draws(out, draws: np.ndarray) -> None:
     """
     blocks = [draws[s : s + _WRITE_BLOCK_ROWS] for s in range(0, len(draws), _WRITE_BLOCK_ROWS)]
     forked = len(blocks) > 1 and hasattr(os, "fork")
-    odd = ("".join(_csv_lines(block)) for block in blocks[1::2])
+    odd = (_pieces("".join(_csv_lines(block))) for block in blocks[1::2])
     child = _child_frames(odd, "sample: the formatter process")
     with child if forked else contextlib.nullcontext() as next_value:
         for k, block in enumerate(blocks):
             if forked and k % 2:
-                out.write(next_value())
+                out.writelines(next_value())
             else:
                 out.writelines(_csv_lines(block))
+
+
+def _pieces(seq) -> list:
+    """seq, an ASCII str or a memoryview of bytes, in slices of at most
+    _PIECE_BYTES bytes; a single slice is seq itself or a view of it."""
+    return [seq[i : i + _PIECE_BYTES] for i in range(0, len(seq), _PIECE_BYTES)]
 
 
 @contextlib.contextmanager

@@ -205,11 +205,12 @@ def make_pd_stack(raw) -> PDStack:
 def finite_vector(value, shape: tuple, name: str) -> np.ndarray:
     """value as a new read-only float array of shape (d,), or (T, d) for the
     means of a stack, with finite entries: DimensionMismatch for another
-    shape, KLWishartError for a NaN or infinity."""
+    shape, KLWishartError for a NaN or infinity.  A (d,) vector is tested
+    on Python floats, faster than `_all_finite` at that size."""
     v = np.array(value, dtype=float)
     if v.shape != shape:
         raise DimensionMismatch(f"{name} has shape {v.shape}, expected {shape}")
-    if not all(map(math.isfinite, v.ravel().tolist())):
+    if not (all(map(math.isfinite, v.tolist())) if v.ndim == 1 else _all_finite(v)):
         raise KLWishartError(f"{name} must be finite")
     v.setflags(write=False)
     return v

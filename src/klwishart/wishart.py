@@ -166,9 +166,9 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
     A call holds its output, all n of its draws' randoms and the kernel's
     scratch at once: 127.7 MiB at d = 10, n = 1e5 (tracemalloc).
 
-    The calling thread draws the first chunk before any thread starts.
-    When n > _CHUNK, one helper thread claims the undrawn chunks in order
-    and draws them; when the chunk the caller needs next is not drawn yet,
+    When n > _CHUNK, one helper thread starts, claims chunks 1, 2, ... in
+    order and draws them, while the calling thread draws chunk 0, which no
+    thread claims; when the chunk the caller needs next is not drawn yet,
     the caller claims and draws the next unclaimed chunk instead of
     waiting, so both threads draw (numpy's generators release the
     interpreter lock while they draw).  Every claim and draw, and the
@@ -191,7 +191,6 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
             normals[start * m : stop * m].reshape(m, stop - start),
         ))
     draws = _Draws(rng, [(w.shape - i) / 2.0 for i in range(d)], chunks)
-    draws.step()  # the first chunk, on the calling thread
 
     def draw_rest():
         while draws.step() is not None:
@@ -202,6 +201,7 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
         helper = threading.Thread(target=draw_rest)
         helper.start()
     try:
+        draws.step(0)
         for k, (start, (g, z)) in enumerate(zip(starts, chunks)):
             draws.wait_for(k)
             np.sqrt(np.multiply(g, 2.0, out=g), out=g)
@@ -215,8 +215,8 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
 
 class _Draws:
     """The randoms of one `sample_wishart_batch` call, one generator per
-    chunk.  Chunks are claimed in order by whichever thread asks first;
-    `drawn[k]` is set once chunk k is drawn, or once its draw has failed."""
+    chunk.  Chunks 1, 2, ... are claimed in order by whichever thread asks
+    first; `drawn[k]` is set once chunk k is drawn, or its draw failed."""
 
     def __init__(self, rng: np.random.Generator, shapes: list, chunks: list):
         seeds = np.random.SeedSequence(rng.integers(2**63, size=4).tolist()).spawn(len(chunks))
@@ -225,23 +225,24 @@ class _Draws:
         self.shapes, self.chunks = shapes, chunks
         self.drawn = [threading.Event() for _ in chunks]
         self.error = None
-        self._next, self._lock = 0, threading.Lock()
+        self._next, self._lock = 1, threading.Lock()
 
     def stop(self) -> None:
         """Hand out no further chunk."""
         with self._lock:
             self._next = len(self.chunks)
 
-    def step(self) -> int | None:
-        """Claim the next chunk and draw it from its own generator: row i of
-        its gammas from standard_gamma(shapes[i]), then its normals; its
-        index, or None after the last claim or `stop`.  An error is kept in
-        `error` and ends the claims; `drawn` is set either way."""
-        with self._lock:
-            k = self._next
-            if k == len(self.chunks):
-                return None
-            self._next += 1
+    def step(self, k: int | None = None) -> int | None:
+        """Draw chunk k, else claim the next, from its own generator: row i
+        of its gammas from standard_gamma(shapes[i]), then its normals; its
+        index, or None past the last chunk (so after `stop`).  An error is
+        kept in `error` and ends the claims; `drawn` is set either way."""
+        if k is None:
+            with self._lock:
+                k = self._next
+                self._next += 1
+        if k >= len(self.chunks):
+            return None
         rng, (gammas, normals) = self.streams[k], self.chunks[k]
         try:
             for row, shape in zip(gammas, self.shapes):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import marshal
 import math
 import os
 import platform
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -54,6 +56,27 @@ def read_both(path, monkeypatch):
     assert split.dtype == serial.dtype and split.shape == serial.shape
     assert split.tobytes() == serial.tobytes()
     return serial
+
+
+def cap_marshal(monkeypatch, cap):
+    """Make the children's marshal refuse a str or bytes-like value of more
+    than cap bytes, as CPython's refuses one of 2**31 bytes or more, and set
+    the piece size to cap, so a test reaches the limit with small data."""
+
+    def dump(value, file):
+        items = [value]
+        while items:
+            item = items.pop()
+            if isinstance(item, (tuple, list)):
+                items.extend(item)
+            elif isinstance(item, (str, bytes, memoryview)):
+                size = len(item.encode()) if isinstance(item, str) else memoryview(item).nbytes
+                if size > cap:
+                    raise ValueError("unmarshallable object")
+        marshal.dump(value, file)
+
+    monkeypatch.setattr(cli, "marshal", types.SimpleNamespace(dump=dump, load=marshal.load))
+    monkeypatch.setattr(cli, "_PIECE_BYTES", cap)
 
 
 def cut_before(first, second):
@@ -218,6 +241,19 @@ class TestReadCsv:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {p}: the parser process ended early\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_half_sent_in_pieces_under_the_marshal_cap(self, tmp_path, monkeypatch):
+        # The child's 12 000 bytes of rows go as 1000-byte pieces, cut inside
+        # a float; the joined array is the serial one, bit for bit.
+        p = tmp_path / "a.csv"
+        write_csv(p, np.random.default_rng(4).standard_normal((1000, 3)))
+        outcomes, parse_halves = [], cli._parse_halves
+        monkeypatch.setattr(cli, "_parse_halves", lambda *a: outcomes.append(parse_halves(*a)) or outcomes[-1])
+        cap_marshal(monkeypatch, 1000)
+        read_both(p, monkeypatch)
+        assert len(outcomes) == 1 and outcomes[0] is not None
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -623,6 +659,19 @@ class TestSample:
         scatter, shape = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]], 5.5
         n = 2 * cli._WRITE_BLOCK_ROWS + 3
         monkeypatch.delattr(os, "fork")
+        out = tmp_path / "draws.csv"
+        assert main(["sample", self.dist(tmp_path, scatter, shape), "-n", str(n),
+                     "--seed", "7", "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.per_element_sha256(scatter, shape, n, 7)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_odd_blocks_sent_in_pieces_under_the_marshal_cap(self, tmp_path, monkeypatch):
+        # Each odd block's 1.5 MB of text goes as 100 000-byte pieces.
+        scatter, shape = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]], 5.5
+        n = 2 * cli._WRITE_BLOCK_ROWS + 3
+        cap_marshal(monkeypatch, 100_000)
         out = tmp_path / "draws.csv"
         assert main(["sample", self.dist(tmp_path, scatter, shape), "-n", str(n),
                      "--seed", "7", "--output", str(out)]) == 0

@@ -281,14 +281,14 @@ class TestSampling:
         caller, on_caller, held = threading.get_ident(), {}, []
         step = wishart._Draws.step
 
-        def recording_step(self):
+        def recording_step(self, k=None):
             on_this = threading.get_ident() == caller
             if delayed == "helper" and not on_this and not held:
                 held.append(True)
                 time.sleep(0.2)
             if delayed == "caller" and on_this and on_caller:
                 time.sleep(0.02)
-            k = step(self)
+            k = step(self, k)
             if k is not None:
                 on_caller[k] = on_this
             return k
