@@ -21,11 +21,11 @@ a fixed stream order, then evaluate every trial at once: one `qr` and one
 `make_pd_stack` per stack, and one call of each density's stack version
 (`kl_stack`, `logpdf_stack`, `wishart_log_pdf_stack` and the priors'
 `_stack` densities) on the stack of precisions or covariances.  The
-moments check inverts its draws with `_batch_inverse`, elementwise across
-blocks of draws, rather than one LAPACK call per small matrix, and takes
-each moment's z-scores in one pass over a flat (n, d * d) view of the
-draws: the mean once, one centred copy, and the sums of squares by
-`np.einsum` with no second copy.
+moments check inverts its draws in place with `_batch_inverse`,
+elementwise across blocks of draws, rather than one LAPACK call per small
+matrix, once their mean's z-scores are taken, and takes each moment's
+column sums and centred sums of squares block by block (`_column_sums`),
+so it holds one stack of draws and no copy of it.
 """
 
 from __future__ import annotations
@@ -164,13 +164,12 @@ def check_moments(
     draws = wishart.sample_wishart_batch(w, samples, rng)
 
     def max_z(stack, exact):
-        # Over a flat (n, d * d) view: the mean once, one centred copy, and
-        # its column sums of squares without a second copy; bitwise the
-        # mean and std(ddof=1) of the stack.
+        # Over a flat (n, d * d) view, block by block: the column sums, then
+        # the centred column sums of squares; bitwise the mean and
+        # std(ddof=1) of the stack.
         flat = stack.reshape(samples, -1)
-        emp = flat.mean(axis=0)
-        centred = flat - emp
-        std = np.sqrt(np.einsum("ij,ij->j", centred, centred) / (samples - 1))
+        emp = _column_sums(flat, lambda block: block) / samples
+        std = np.sqrt(_column_sums(flat, lambda block: np.square(block - emp)) / (samples - 1))
         se = std / np.sqrt(samples)
         return float(np.max(np.abs(emp - exact.ravel()) / se))
 
@@ -178,7 +177,7 @@ def check_moments(
     detail = f"d={d} nu={nu} N={samples}"
     z = z_mean
     if nu > d + 1:
-        z_inv = max_z(_batch_inverse(draws), wishart.wishart_mean_inverse(w).entries)
+        z_inv = max_z(_batch_inverse(draws, out=draws), wishart.wishart_mean_inverse(w).entries)
         z = max(z, z_inv)
         detail += f" z_mean={z_mean:.2f} z_inv={z_inv:.2f}"
     else:
@@ -186,9 +185,21 @@ def check_moments(
     return _report("moments", z, 4.0, detail)
 
 
-def _batch_inverse(mats: np.ndarray) -> np.ndarray:
+def _column_sums(flat: np.ndarray, f) -> np.ndarray:
+    """Column sums of f(block) over the blocks of _BLOCK rows of an (n, k)
+    array.  Each block's sum starts from the running total, stacked before
+    the block as row 0, so `np.add.reduce` adds the rows in the order of one
+    reduce over all n, and the sums are bitwise that reduce's."""
+    total = np.empty((0, flat.shape[1]))
+    for start in range(0, len(flat), _BLOCK):
+        total = np.add.reduce(np.vstack([total, f(flat[start : start + _BLOCK])]), axis=0)
+    return total
+
+
+def _batch_inverse(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverses of an (n, d, d) stack of SPD matrices by Gauss-Jordan
-    elimination without pivoting, over blocks of _BLOCK matrices.
+    elimination without pivoting, over blocks of _BLOCK matrices, written
+    into `out` when given (which may be mats itself), else a new array.
 
     Each entry is one length-b vector over a block of b matrices, so numpy
     runs the arithmetic elementwise across matrices instead of calling
@@ -199,7 +210,8 @@ def _batch_inverse(mats: np.ndarray) -> np.ndarray:
     of its Schur complements, all positive, so none needs a row exchange.
     """
     n, d, _ = mats.shape
-    out = np.empty_like(mats)
+    if out is None:
+        out = np.empty_like(mats)
     size = min(n, _BLOCK)
     work, tmp = np.empty((d, d, size)), np.empty((d, d, size))
     for start in range(0, n, _BLOCK):

@@ -30,6 +30,11 @@ LOG_PI = math.log(math.pi)
 # generator, so the samples of a seed change with _CHUNK.
 _CHUNK = _BLOCK
 
+# Chunks of randoms a call holds at once: chunk k is drawn into slot
+# k % _RING, and only once the kernel has read the chunk before it in that
+# slot.  The bytes do not depend on _RING.
+_RING = 4
+
 
 def validate_shape(nu: float, d: int) -> None:
     """Enforce a finite nu > d - 1 (strict); low integer shapes give
@@ -162,48 +167,43 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
     turn, then its b d(d-1)/2 normals, all b of the first entry of T's
     strict lower triangle (row-major order) first, then all b of the next,
     and so on.  Each chunk is drawn into C-ordered (d, b) and
-    (d(d-1)/2, b) buffers, whose transposes the kernel reads without a copy.
-    A call holds its output, all n of its draws' randoms and the kernel's
-    scratch at once: 127.7 MiB at d = 10, n = 1e5 (tracemalloc).
+    (d(d-1)/2, b) views of one of _RING slot buffers, whose transposes the
+    kernel reads without a copy.  A call holds its output, _RING chunks of
+    randoms and the kernel's scratch at once: 92.6 MiB at d = 10, n = 1e5
+    (tracemalloc), 76.3 MiB of it the output.
 
     When n > _CHUNK, one helper thread starts, claims chunks 1, 2, ... in
     order and draws them, while the calling thread draws chunk 0, which no
     thread claims; when the chunk the caller needs next is not drawn yet,
     the caller claims and draws the next unclaimed chunk instead of
     waiting, so both threads draw (numpy's generators release the
-    interpreter lock while they draw).  Every claim and draw, and the
-    handling of a failed draw, is one `_Draws.step`.
+    interpreter lock while they draw).  A chunk is claimed only once the
+    kernel has read the chunk _RING before it, whose slot it takes; the
+    helper waits for that slot.  Every claim and draw, and the handling of
+    a failed draw, is one `_Draws.step`.
     The x2, sqrt and kernel run on the calling thread only, chunk by chunk
     in order, under this function's floating-point policy.  A chunk gives
     the same randoms whichever thread draws it.
     """
     d = w.dim
-    m = d * (d - 1) // 2
     L = w.scale().factor
     out = np.empty((n, d, d))
-    gammas, normals = np.empty(n * d), np.empty(n * m)
     starts = range(0, n, _CHUNK)
-    chunks = []
-    for start in starts:
-        stop = min(start + _CHUNK, n)
-        chunks.append((
-            gammas[start * d : stop * d].reshape(d, stop - start),
-            normals[start * m : stop * m].reshape(m, stop - start),
-        ))
-    draws = _Draws(rng, [(w.shape - i) / 2.0 for i in range(d)], chunks)
+    sizes = [min(_CHUNK, n - start) for start in starts]
+    draws = _Draws(rng, [(w.shape - i) / 2.0 for i in range(d)], sizes)
 
     def draw_rest():
-        while draws.step() is not None:
-            pass
+        while draws.wait_for_slot():
+            draws.step()
 
     helper = None
-    if len(chunks) > 1:
+    if len(starts) > 1:
         helper = threading.Thread(target=draw_rest)
         helper.start()
     try:
         draws.step(0)
-        for k, (start, (g, z)) in enumerate(zip(starts, chunks)):
-            draws.wait_for(k)
+        for k, start in enumerate(starts):
+            g, z = draws.wait_for(k)
             np.sqrt(np.multiply(g, 2.0, out=g), out=g)
             batch_bartlett(L, g.T, z.T, out=out[start : start + _CHUNK])
     finally:
@@ -215,35 +215,54 @@ def sample_wishart_batch(w: WishartParams, n: int, rng: np.random.Generator) -> 
 
 class _Draws:
     """The randoms of one `sample_wishart_batch` call, one generator per
-    chunk.  Chunks 1, 2, ... are claimed in order by whichever thread asks
-    first; `drawn[k]` is set once chunk k is drawn, or its draw failed."""
+    chunk, drawn into a ring of _RING slot buffers: chunk k into slot
+    k % _RING.  Chunks 1, 2, ... are claimed in order by whichever thread
+    asks first, chunk k only once the kernel has read chunk k - _RING,
+    whose slot it takes.  One condition guards the claims, the freed slots
+    and `drawn`: `drawn[k]` is set once chunk k is drawn, or its draw
+    failed."""
 
-    def __init__(self, rng: np.random.Generator, shapes: list, chunks: list):
-        seeds = np.random.SeedSequence(rng.integers(2**63, size=4).tolist()).spawn(len(chunks))
+    def __init__(self, rng: np.random.Generator, shapes: list, sizes: list):
+        seeds = np.random.SeedSequence(rng.integers(2**63, size=4).tolist()).spawn(len(sizes))
         bit_generator = type(rng.bit_generator)
         self.streams = [np.random.Generator(bit_generator(seed)) for seed in seeds]
-        self.shapes, self.chunks = shapes, chunks
-        self.drawn = [threading.Event() for _ in chunks]
+        self.shapes, self.sizes = shapes, sizes
+        d = len(shapes)
+        self.width = d * (d + 1) // 2  # d gammas and d(d-1)/2 normals a draw
+        self.slots = [np.empty(self.width * sizes[0]) for _ in range(min(_RING, len(sizes)))]
+        self.drawn = [False] * len(sizes)
         self.error = None
-        self._next, self._lock = 1, threading.Lock()
+        self._next, self._read, self._cond = 1, 0, threading.Condition()
+
+    def chunk(self, k: int) -> tuple:
+        """Chunk k's (d, b) gammas and (d(d-1)/2, b) normals, C-ordered
+        views of the front of its slot."""
+        b, d = self.sizes[k], len(self.shapes)
+        slot = self.slots[k % _RING]
+        return slot[: d * b].reshape(d, b), slot[d * b : self.width * b].reshape(-1, b)
 
     def stop(self) -> None:
-        """Hand out no further chunk."""
-        with self._lock:
-            self._next = len(self.chunks)
+        """Hand out no further chunk, and wake a thread waiting for a slot."""
+        with self._cond:
+            self._next = len(self.sizes)
+            self._cond.notify_all()
 
     def step(self, k: int | None = None) -> int | None:
-        """Draw chunk k, else claim the next, from its own generator: row i
-        of its gammas from standard_gamma(shapes[i]), then its normals; its
-        index, or None past the last chunk (so after `stop`).  An error is
-        kept in `error` and ends the claims; `drawn` is set either way."""
-        if k is None:
-            with self._lock:
+        """Draw chunk k, else claim the next if its slot is free, from its
+        own generator: row i of its gammas from standard_gamma(shapes[i]),
+        then its normals; its index, or None where no chunk can be claimed
+        now (past the last chunk, so after `stop`, or the next chunk's slot
+        still held).  An error is kept in `error` and ends the claims;
+        `drawn` is set either way."""
+        with self._cond:
+            if k is None:
                 k = self._next
+                if k >= self._read + _RING:
+                    return None
                 self._next += 1
-        if k >= len(self.chunks):
+        if k >= len(self.sizes):
             return None
-        rng, (gammas, normals) = self.streams[k], self.chunks[k]
+        rng, (gammas, normals) = self.streams[k], self.chunk(k)
         try:
             for row, shape in zip(gammas, self.shapes):
                 rng.standard_gamma(shape, out=row)
@@ -251,17 +270,34 @@ class _Draws:
         except BaseException as exc:  # raised again by `wait_for`
             self.error = exc
             self.stop()
-        self.drawn[k].set()
+        with self._cond:
+            self.drawn[k] = True
+            self._cond.notify_all()
         return k
 
-    def wait_for(self, k: int) -> None:
-        """Return once chunk k is drawn, drawing unclaimed chunks meanwhile;
-        raise the error of a failed draw, if there was one."""
-        while not self.drawn[k].is_set():
+    def wait_for_slot(self) -> bool:
+        """Wait until the next chunk's slot is free or no chunk is left;
+        whether a chunk is left to claim."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._next < self._read + _RING or self._next >= len(self.sizes)
+            )
+            return self._next < len(self.sizes)
+
+    def wait_for(self, k: int) -> tuple:
+        """Chunk k's `chunk` views once it is drawn, drawing claimable chunks
+        meanwhile; raise the error of a failed draw, if there was one.  The
+        kernel has read every chunk before k, so their slots are freed."""
+        with self._cond:
+            self._read = k
+            self._cond.notify_all()
+        while not self.drawn[k]:
             if self.step() is None:
-                self.drawn[k].wait()
+                with self._cond:
+                    self._cond.wait_for(lambda: self.drawn[k])
         if self.error is not None:
             raise self.error
+        return self.chunk(k)
 
 
 @raise_fp_errors

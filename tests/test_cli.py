@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
@@ -787,6 +788,31 @@ def test_version_prints_one_json_line():
         "python": platform.python_version(),
         "blas": f"{blas['name']} {blas['version']}",
     }
+
+
+@pytest.mark.parametrize("command", ["sample", "fit"])
+def test_no_thread_alive_at_fork(tmp_path, monkeypatch, command):
+    # The sampler's helper thread is joined before the writer forks, and the
+    # reader starts none; Python 3.12 warns on a fork with threads alive.
+    fork, seen = os.fork, []
+
+    def recording_fork():
+        seen.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    if command == "sample":
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"family": "wishart", "scatter": [[2.0, 0.3], [0.3, 1.0]], "shape": 4.5}))
+        # More than one sampler chunk and one writer block.
+        argv = ["sample", str(dist), "-n", str(2 * cli._WRITE_BLOCK_ROWS + 1)]
+    else:
+        data = tmp_path / "data.csv"
+        write_csv(data, np.random.default_rng(2).standard_normal((30_000, 3)))
+        assert data.stat().st_size > cli._READ_SPLIT_CHARS
+        argv = ["fit", "--data", str(data), "--alpha", "1"]
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+    assert seen == [1]
 
 
 def test_main_in_process(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,24 @@ class TestMoments:
         rep = verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(seed))
         assert np.float64(rep.statistic).tobytes() == np.float64(expected).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+    def test_column_sums_bitwise_one_reduce(self, n):
+        # Block edges of _BLOCK = 4096; values of mixed sign and scale.
+        flat = rng(n).standard_normal((n, 9)) * np.logspace(-8, 8, 9)
+        got = verify._column_sums(flat, lambda block: block)
+        assert got.tobytes() == np.add.reduce(flat, axis=0).tobytes()
+
+    def test_peak_memory_holds_one_stack(self):
+        # The 3.05 MiB of draws, the sampler's ring and the inverse's
+        # scratch; a second stack of draws would not fit.
+        tracemalloc.start()
+        try:
+            verify.check_moments(d=2, nu=5.0, samples=100_000, rng=rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, peak
+
     def test_inverse_mean_factor_diagonal(self):
         # E[P]^-1 and E[P^-1] differ by the exact factor nu/(nu-d-1)
         d, nu = 2, 7.0
@@ -347,6 +366,15 @@ class TestBatchInverse:
         err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
         assert err.max() <= 1e-10
         assert np.array_equal(mats, before)
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_in_place_equals_out_of_place(self, d, n):
+        w = wishart.WishartParams(verify.random_pd(d, rng(d)), shape=d + 2.5)
+        mats = wishart.sample_wishart_batch(w, n, rng(n))
+        want = verify._batch_inverse(mats)
+        assert verify._batch_inverse(mats, out=mats) is mats
+        assert mats.tobytes() == want.tobytes()
 
 
 class TestRankDeficiency:

@@ -16,6 +16,7 @@ from klwishart.errors import DimensionMismatch, InvalidShape
 from klwishart.wishart import WishartParams
 
 C = wishart._CHUNK
+R = wishart._RING
 
 
 def random_pd(d, rng, spread=1.0):
@@ -268,6 +269,17 @@ class TestSampling:
         four.integers(2**63, size=4)
         assert rng.bit_generator.state == four.bit_generator.state
 
+    # Around the ring's edges: no chunk, one short and one full chunk, a
+    # ring one draw short of full, a full ring, and one draw whose chunk
+    # takes a freed slot.
+    @pytest.mark.parametrize("n", [0, 1, C, R * C - 1, R * C, R * C + 1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ring_edges_equal_serial_draws(self, d, n):
+        w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(d + 20)), shape=d + 1.5)
+        draws = wishart.sample_wishart_batch(w, n, np.random.default_rng(n + 3))
+        tdiag, offd = serial_randoms(w, n, np.random.default_rng(n + 3))
+        assert draws.tobytes() == batch_bartlett(w.scale().factor, tdiag, offd).tobytes()
+
     @pytest.mark.parametrize("delayed", ["helper", "caller", "neither"])
     def test_bytes_do_not_depend_on_which_thread_draws(self, delayed, monkeypatch):
         # With the helper held back the caller draws most chunks; with the
@@ -380,7 +392,7 @@ class TestSampling:
             assert got[s] is not None and got[s].tobytes() == expected[s].tobytes(), s
 
     def test_peak_memory_close_to_output_randoms_and_scratch(self):
-        # A call holds its (n, d, d) output, its n x d gammas and
+        # A call holds at most its (n, d, d) output, n x d gammas and
         # n x d(d-1)/2 normals, and the kernel's scratch: three (d, d, _BLOCK)
         # buffers.  The kernel reads the randoms in place, without a copy.
         d, n = 10, 100_000
@@ -394,6 +406,19 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < 1.05 * (out.nbytes + randoms + scratch), (peak, out.nbytes)
+
+    def test_peak_memory_holds_a_ring_of_randoms(self):
+        # The output (76.3 MiB), _RING chunks of randoms and the kernel's
+        # scratch; the randoms of all n draws (42 MiB more) would not fit.
+        d, n = 10, 100_000
+        w = WishartParams(scale_inv=random_pd(d, np.random.default_rng(8)), shape=d + 2.5)
+        tracemalloc.start()
+        try:
+            wishart.sample_wishart_batch(w, n, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20, peak
 
     @pytest.mark.parametrize("d,nu", [(1, 1.5), (2, 3.5), (3, 4.2)])
     def test_sampler_moments(self, d, nu):
@@ -440,10 +465,36 @@ def _draw_fails_on(thread):
         )
 
 
+def _kernel_fails_on_a_full_ring():
+    """A call of _RING + 2 chunks whose kernel raises on chunk 0 once the
+    helper has drawn chunks 1 to _RING - 1 and waits for chunk 0's slot."""
+    calls = []
+    init = wishart._Draws.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        calls.append(self)
+
+    def kernel(*args, **kwargs):
+        draws, deadline = calls[0], time.monotonic() + 10
+        while not all(draws.drawn[1:R]) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)  # the helper reaches its wait for a slot
+        assert all(draws.drawn[1:R]) and not any(draws.drawn[R:])
+        raise RuntimeError("kernel failed")
+
+    with mock.patch.object(wishart._Draws, "__init__", recording_init), \
+            mock.patch.object(wishart, "batch_bartlett", kernel):
+        wishart.sample_wishart_batch(
+            WishartParams(pdcore.make_pd(np.eye(3)), 4.0), (R + 2) * C, np.random.default_rng(0)
+        )
+
+
 # Failure -> (a call that fails after its first chunk, the error it raises).
 _FAILURES = {
     "helper_draw": (lambda: _draw_fails_on("helper"), RuntimeError),
     "caller_draw": (lambda: _draw_fails_on("caller"), RuntimeError),
+    "kernel_on_full_ring": (_kernel_fails_on_a_full_ring, RuntimeError),
     # Seed 1 keeps every draw of the first chunk finite; the draws of the
     # eight chunks whose entries overflow are rows 19483 and 20722, in the
     # fifth and sixth.
